@@ -18,6 +18,7 @@
 //! `JMeth`.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use starqo_dsl::{AltAst, BinOpAst, ExprAst, GuardAst, ReqAst, RuleFileAst, StarDefAst};
 
@@ -132,7 +133,7 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
     // evaluate sequentially).
     let forall_slot = scope.next;
     let mut alts = Vec::new();
-    for alt in def.body.alternatives() {
+    for (k, alt) in def.body.alternatives().iter().enumerate() {
         alts.push(compile_alt(
             rules,
             alt,
@@ -140,6 +141,7 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
             forall_slot,
             env,
             &def.name,
+            k,
         )?);
     }
     Ok(AltGroup {
@@ -156,6 +158,7 @@ fn compile_alt(
     forall_slot: u32,
     env: &CompileEnv<'_>,
     star: &str,
+    index: usize,
 ) -> Result<Alt> {
     let (forall, inner_scope);
     match &alt.forall {
@@ -188,6 +191,7 @@ fn compile_alt(
         forall,
         expr,
         guard,
+        origin: Arc::from(format!("{star}[alt {}]", index + 1)),
     })
 }
 

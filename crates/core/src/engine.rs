@@ -120,7 +120,7 @@ pub struct Engine<'a> {
     /// Plan provenance: fingerprint → "Star[alt k]" of the alternative that
     /// first produced the node, realizing §1's "traced to explain the
     /// origin of any execution plan". Glue veneers record as "Glue".
-    pub provenance: HashMap<u64, String>,
+    pub provenance: HashMap<u64, Arc<str>>,
     /// Structured event sink; `Tracer::off()` by default (zero overhead).
     pub tracer: Tracer,
     /// Request-scoped span recorder; `SpanContext::off()` by default.
@@ -139,7 +139,12 @@ pub struct Engine<'a> {
     /// only depth-0 invocations accumulate `glue_nanos`.
     pub(crate) glue_depth: u32,
     memo: HashMap<MemoKey, Arc<Vec<PlanRef>>>,
+    /// Cleared value buffers recycled across references: argument lists
+    /// of native and LOLEPOP calls, memo-hit keys, and group environments.
+    bufs: Vec<Vec<RuleValue>>,
     pub(crate) glue_cache: HashMap<GlueKey, Arc<Vec<PlanRef>>>,
+    /// Scratch fingerprint set of every [`dedup`] call this run.
+    pub(crate) dedup_seen: HashSet<u64>,
     /// Armed fault-injection plan (`native`/`prop` sites), from the config.
     faults: Option<Arc<FaultPlan>>,
     /// Absolute deadline computed from the budget at construction.
@@ -199,7 +204,9 @@ impl<'a> Engine<'a> {
             glue_nanos: 0,
             glue_depth: 0,
             memo: HashMap::new(),
+            bufs: Vec::new(),
             glue_cache: HashMap::new(),
+            dedup_seen: HashSet::new(),
             faults: config.faults.clone(),
             deadline: config.budget.deadline.map(|d| Instant::now() + d),
             exhausted: None,
@@ -332,6 +339,7 @@ impl<'a> Engine<'a> {
             if let Some(hit) = self.memo.get(&key) {
                 self.stats.memo_hits += 1;
                 let hit = hit.clone();
+                self.give_buf(key.args);
                 self.tracer.emit(|| TraceEvent::StarRef {
                     star: self.rules.star(id).name.clone(),
                     sid: id.0,
@@ -349,7 +357,6 @@ impl<'a> Engine<'a> {
             parent,
             memo_hit: false,
         });
-        let args = key.args.clone();
         let max_depth = self.config.budget.max_star_depth.unwrap_or(MAX_DEPTH);
         if self.depth >= max_depth {
             return Err(self.eval_err(
@@ -370,13 +377,13 @@ impl<'a> Engine<'a> {
             SpanGuard::noop()
         };
         let start = traced.then(std::time::Instant::now);
-        let result = self.eval_star_inner(id, &args);
+        let result = self.eval_star_inner(id, &key.args);
         if traced || spanned {
             self.ref_stack.pop();
         }
         self.depth -= 1;
         let plans = result?;
-        let plans = Arc::new(dedup(plans));
+        let plans = Arc::new(dedup(&mut self.dedup_seen, plans));
         drop(star_span);
         if let Some(start) = start {
             let nanos = start.elapsed().as_nanos() as u64;
@@ -402,15 +409,16 @@ impl<'a> Engine<'a> {
     }
 
     fn eval_star_inner(&mut self, id: StarId, args: &[RuleValue]) -> Result<Vec<PlanRef>> {
-        let star = self.rules.star(id).clone();
+        let star: &'a StarDef = self.rules.star(id);
         let mut out: Vec<PlanRef> = Vec::new();
         let mut first_err: Option<CoreError> = None;
         for (group_idx, group) in star.groups.iter().enumerate() {
             // Environment: parameters, then this group's bindings, then one
             // slot for the forall variable.
-            let mut env: Vec<RuleValue> = args.to_vec();
+            let mut env = self.take_buf();
+            env.extend_from_slice(args);
             for b in &group.bindings {
-                let v = self.eval_expr(b, &mut env.clone(), &star.name)?;
+                let v = self.eval_expr(b, &env, &star.name)?;
                 env.push(v);
             }
             let mut any_fired = false;
@@ -423,11 +431,13 @@ impl<'a> Engine<'a> {
                 // erroring alternative (guard included) disables itself
                 // while its siblings keep optimizing. A panic unwinding
                 // through nested references leaves depth/ref/glue counters
-                // advanced; snapshot them for repair.
+                // advanced; snapshot them for repair. The alternative
+                // appends its plans to `out`; a failed one is cut back off.
                 let depth0 = self.depth;
                 let stack0 = self.ref_stack.len();
                 let glue_depth0 = self.glue_depth;
-                let step = catch_unwind(AssertUnwindSafe(|| -> Result<Option<Vec<PlanRef>>> {
+                let start = out.len();
+                let step = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
                     let fire = match &alt.guard {
                         Guard::Always => true,
                         Guard::Otherwise => !any_fired,
@@ -436,7 +446,7 @@ impl<'a> Engine<'a> {
                             // The forall variable is not in scope in the
                             // guard; guards are per-alternative, not
                             // per-item.
-                            let v = self.eval_expr(cond, &mut env.clone(), &star.name)?;
+                            let v = self.eval_expr(cond, &env, &star.name)?;
                             v.as_bool().ok_or_else(|| {
                                 self.eval_err(&star.name, "condition did not evaluate to a boolean")
                             })?
@@ -451,27 +461,28 @@ impl<'a> Engine<'a> {
                                 cond: self.rules.render_expr(cond, &star.params, self.natives),
                             });
                         }
-                        return Ok(None);
+                        return Ok(false);
                     }
-                    self.eval_alt(alt, &env, &star.name, alt_idx).map(Some)
+                    self.eval_alt(alt, &env, &star.name, alt_idx, &mut out)?;
+                    Ok(true)
                 }));
                 match step {
-                    Ok(Ok(None)) => {} // condition of applicability failed
-                    Ok(Ok(Some(produced))) => {
+                    Ok(Ok(false)) => {} // condition of applicability failed
+                    Ok(Ok(true)) => {
                         any_fired = true;
+                        let produced = &out[start..];
                         self.tracer.emit(|| TraceEvent::AltFired {
                             star: star.name.clone(),
                             alt: alt_idx + 1,
                             ref_id: self.cur_ref(),
                             plans: produced.len(),
                         });
-                        for p in &produced {
+                        for p in produced {
                             self.provenance
                                 .entry(p.fingerprint())
-                                .or_insert_with(|| format!("{}[alt {}]", star.name, alt_idx + 1));
+                                .or_insert_with(|| Arc::clone(&alt.origin));
                         }
                         let productive = !produced.is_empty();
-                        out.extend(produced);
                         if group.exclusive {
                             break;
                         }
@@ -482,10 +493,12 @@ impl<'a> Engine<'a> {
                         }
                     }
                     Ok(Err(e)) => {
-                        let e = self.quarantine_alt(id, group_idx, alt_idx, &star, alt, e);
+                        out.truncate(start);
+                        let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
                         first_err.get_or_insert(e);
                     }
                     Err(payload) => {
+                        out.truncate(start);
                         self.depth = depth0;
                         self.ref_stack.truncate(stack0);
                         self.glue_depth = glue_depth0;
@@ -493,11 +506,12 @@ impl<'a> Engine<'a> {
                             context: format!("STAR {}[alt {}]", star.name, alt_idx + 1),
                             msg: panic_msg(payload),
                         };
-                        let e = self.quarantine_alt(id, group_idx, alt_idx, &star, alt, e);
+                        let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
                         first_err.get_or_insert(e);
                     }
                 }
             }
+            self.give_buf(env);
         }
         // Partial failure with surviving plans is quarantine-and-continue;
         // a reference that produced nothing *because* its alternatives
@@ -509,6 +523,17 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(out)
+    }
+
+    /// A cleared buffer from the recycling pool.
+    fn take_buf(&mut self) -> Vec<RuleValue> {
+        self.bufs.pop().unwrap_or_default()
+    }
+
+    /// Return a buffer to the recycling pool.
+    fn give_buf(&mut self, mut buf: Vec<RuleValue>) {
+        buf.clear();
+        self.bufs.push(buf);
     }
 
     /// Disable one alternative for the rest of the run, recording a
@@ -549,62 +574,64 @@ impl<'a> Engine<'a> {
         err
     }
 
+    /// Evaluate one alternative, appending the plans it produces to `out`.
     fn eval_alt(
         &mut self,
         alt: &Alt,
         env: &[RuleValue],
         star: &str,
         alt_idx: usize,
-    ) -> Result<Vec<PlanRef>> {
-        let mut out = Vec::new();
-        match &alt.forall {
-            None => {
-                let mut env = env.to_vec();
-                let v = self.eval_expr(&alt.expr, &mut env, star)?;
-                out.extend(self.want_plans(&v, star)?.iter().cloned());
+        out: &mut Vec<PlanRef>,
+    ) -> Result<()> {
+        let Some(set_expr) = &alt.forall else {
+            let v = self.eval_expr(&alt.expr, env, star)?;
+            out.extend(self.want_plans(&v, star)?.iter().cloned());
+            return Ok(());
+        };
+        let items = match self.eval_expr(set_expr, env, star)? {
+            RuleValue::List(items) => items,
+            other => {
+                return Err(self.eval_err(
+                    star,
+                    format!("forall set must be a list, got {}", other.kind()),
+                ))
             }
-            Some(set_expr) => {
-                let mut env0 = env.to_vec();
-                let set = self.eval_expr(set_expr, &mut env0, star)?;
-                let mut items: Vec<RuleValue> = match set {
-                    RuleValue::List(items) => items.as_ref().clone(),
-                    other => {
-                        return Err(self.eval_err(
-                            star,
-                            format!("forall set must be a list, got {}", other.kind()),
-                        ))
-                    }
-                };
-                // Per-rule expansion cap: excess ∀ items are dropped
-                // (degraded), not an error.
-                if let Some(cap) = self.config.budget.max_forall_items {
-                    if items.len() > cap {
-                        self.exhaust(
-                            "forall_items",
-                            format!("forall expansion of {} items capped at {cap}", items.len()),
-                        );
-                        items.truncate(cap);
-                    }
-                }
-                self.tracer.emit(|| TraceEvent::ForallExpand {
-                    star: star.to_string(),
-                    alt: alt_idx + 1,
-                    ref_id: self.cur_ref(),
-                    items: items.len(),
-                });
-                for item in items {
-                    let mut env2 = env.to_vec();
-                    env2.push(item);
-                    let v = self.eval_expr(&alt.expr, &mut env2, star)?;
-                    out.extend(self.want_plans(&v, star)?.iter().cloned());
-                    // Greedy (degraded) mode: first productive item wins.
-                    if self.exhausted.is_some() && !out.is_empty() {
-                        break;
-                    }
-                }
+        };
+        // Per-rule expansion cap: excess ∀ items are dropped (degraded),
+        // not an error.
+        let mut n = items.len();
+        if let Some(cap) = self.config.budget.max_forall_items {
+            if n > cap {
+                self.exhaust(
+                    "forall_items",
+                    format!("forall expansion of {n} items capped at {cap}"),
+                );
+                n = cap;
             }
         }
-        Ok(out)
+        self.tracer.emit(|| TraceEvent::ForallExpand {
+            star: star.to_string(),
+            alt: alt_idx + 1,
+            ref_id: self.cur_ref(),
+            items: n,
+        });
+        // One environment buffer for every item: the forall slot is the
+        // last one and is overwritten per item.
+        let mut item_env = self.take_buf();
+        item_env.extend_from_slice(env);
+        let start = out.len();
+        for item in &items[..n] {
+            item_env.truncate(env.len());
+            item_env.push(item.clone());
+            let v = self.eval_expr(&alt.expr, &item_env, star)?;
+            out.extend(self.want_plans(&v, star)?.iter().cloned());
+            // Greedy (degraded) mode: first productive item wins.
+            if self.exhausted.is_some() && out.len() > start {
+                break;
+            }
+        }
+        self.give_buf(item_env);
+        Ok(())
     }
 
     fn want_plans(&self, v: &RuleValue, star: &str) -> Result<Arc<Vec<PlanRef>>> {
@@ -618,12 +645,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate one rule expression.
-    pub fn eval_expr(
-        &mut self,
-        e: &Expr,
-        env: &mut Vec<RuleValue>,
-        star: &str,
-    ) -> Result<RuleValue> {
+    pub fn eval_expr(&mut self, e: &Expr, env: &[RuleValue], star: &str) -> Result<RuleValue> {
         match e {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Var(slot) => env
@@ -637,11 +659,15 @@ impl<'a> Engine<'a> {
             Expr::CallFn(id, args) => {
                 let vals = self.eval_args(args, env, star)?;
                 self.stats.native_calls += 1;
-                self.call_native(*id, &vals, star)
+                let v = self.call_native(*id, &vals, star);
+                self.give_buf(vals);
+                v
             }
             Expr::CallOp(name, args) => {
                 let vals = self.eval_args(args, env, star)?;
-                Ok(RuleValue::Plans(self.apply_op(name, &vals, star)?))
+                let plans = self.apply_op(name, &vals, star);
+                self.give_buf(vals);
+                Ok(RuleValue::Plans(plans?))
             }
             Expr::Glue(stream_e, preds_e) => {
                 let sv = self.eval_expr(stream_e, env, star)?;
@@ -741,10 +767,15 @@ impl<'a> Engine<'a> {
     fn eval_args(
         &mut self,
         args: &[Expr],
-        env: &mut Vec<RuleValue>,
+        env: &[RuleValue],
         star: &str,
     ) -> Result<Vec<RuleValue>> {
-        args.iter().map(|a| self.eval_expr(a, env, star)).collect()
+        let mut vals = self.take_buf();
+        for a in args {
+            let v = self.eval_expr(a, env, star)?;
+            vals.push(v);
+        }
+        Ok(vals)
     }
 
     fn eval_binary(
@@ -752,7 +783,7 @@ impl<'a> Engine<'a> {
         op: BinOp,
         l: &Expr,
         r: &Expr,
-        env: &mut Vec<RuleValue>,
+        env: &[RuleValue],
         star: &str,
     ) -> Result<RuleValue> {
         // Short-circuit booleans.
@@ -946,7 +977,7 @@ impl<'a> Engine<'a> {
             }
             ext => self.op_ext(ext, args, star)?,
         };
-        Ok(Arc::new(dedup(out)))
+        Ok(Arc::new(dedup(&mut self.dedup_seen, out)))
     }
 
     fn arg_plans(
@@ -1290,17 +1321,16 @@ impl<'a> Engine<'a> {
 impl Engine<'_> {
     /// The recorded rule origin of a plan node, if any.
     pub fn origin(&self, fingerprint: u64) -> Option<&str> {
-        self.provenance.get(&fingerprint).map(|s| s.as_str())
+        self.provenance.get(&fingerprint).map(|s| &**s)
     }
 }
 
-/// Drop structurally duplicate plans.
-pub fn dedup(plans: Vec<PlanRef>) -> Vec<PlanRef> {
-    let mut seen = std::collections::HashSet::new();
+/// Drop structurally duplicate plans, keeping the first of each. `seen` is
+/// caller-owned scratch, cleared here, so repeated calls reuse its table.
+pub fn dedup(seen: &mut HashSet<u64>, mut plans: Vec<PlanRef>) -> Vec<PlanRef> {
+    seen.clear();
+    plans.retain(|p| seen.insert(p.fingerprint()));
     plans
-        .into_iter()
-        .filter(|p| seen.insert(p.fingerprint()))
-        .collect()
 }
 
 /// Convenience: make a stream value.

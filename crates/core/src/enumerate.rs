@@ -67,7 +67,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
     // a level would otherwise be unbuildable.
     for k in 2..=n {
         for s in subsets_of_size(all, k as u32) {
-            let mut built_any = !engine.table.keys_for_tables(s).is_empty();
+            let mut built_any = engine.table.has_tables(s);
             for cartesian_pass in [false, true] {
                 if cartesian_pass && built_any {
                     break;
@@ -85,9 +85,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
                         continue;
                     }
                     // Both sides must already have plans.
-                    if engine.table.keys_for_tables(s1).is_empty()
-                        || engine.table.keys_for_tables(s2).is_empty()
-                    {
+                    if !engine.table.has_tables(s1) || !engine.table.has_tables(s2) {
                         continue;
                     }
                     let new_preds = engine.query.newly_eligible(s1, s2);
@@ -153,7 +151,6 @@ fn small(engine: &Engine<'_>, s: QSet) -> bool {
     engine
         .table
         .keys_for_tables(s)
-        .into_iter()
         .filter_map(|k| engine.table.best(k))
         .any(|p| p.props.card <= engine.model.small_card)
 }

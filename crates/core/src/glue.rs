@@ -19,7 +19,7 @@
 //! stored at its destination (which is why §4.3's `SitedJoin` stores a
 //! shipped inner: rescans then stay local).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use starqo_plan::{AccessSpec, Lolepop, PlanRef};
 use starqo_query::{PredSet, QSet};
@@ -39,7 +39,7 @@ pub fn glue(
     let key = GlueKey {
         tables: stream.tables,
         pushdown,
-        reqs: stream.reqs.clone(),
+        reqs: stream.reqs,
     };
     if let Some(hit) = engine.glue_cache.get(&key) {
         engine.stats.glue_cache_hits += 1;
@@ -66,7 +66,7 @@ pub fn glue(
     };
     let started = std::time::Instant::now();
     let veneers_before = engine.stats.glue_veneers;
-    let result = glue_miss(engine, &stream, pushdown);
+    let result = glue_miss(engine, key.tables, pushdown, &key.reqs);
     drop(glue_span);
     engine.glue_depth -= 1;
     if engine.glue_depth == 0 {
@@ -86,27 +86,27 @@ pub fn glue(
 /// The cache-miss path of [`glue`]: find candidates, veneer, register.
 fn glue_miss(
     engine: &mut Engine<'_>,
-    stream: &StreamRef,
+    tables: QSet,
     pushdown: PredSet,
+    reqs: &ReqVec,
 ) -> Result<Arc<Vec<PlanRef>>> {
-    let candidates = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
+    let candidates = candidate_plans(engine, tables, pushdown, reqs)?;
     let mut satisfied: Vec<PlanRef> = Vec::new();
     for plan in candidates {
-        if let Some(p) = veneer(engine, plan, &stream.reqs)? {
+        if let Some(p) = veneer(engine, plan, reqs)? {
             satisfied.push(p);
         }
     }
-    let mut satisfied = dedup(satisfied);
+    let mut satisfied = dedup(&mut engine.dedup_seen, satisfied);
     for p in &satisfied {
         engine
             .provenance
             .entry(p.fingerprint())
-            .or_insert_with(|| "Glue".to_string());
+            .or_insert_with(glue_origin);
     }
     if satisfied.is_empty() {
         return Err(CoreError::Glue(format!(
-            "no plan for tables {} satisfies requirements {:?}",
-            stream.tables, stream.reqs
+            "no plan for tables {tables} satisfies requirements {reqs:?}"
         )));
     }
     // Register Glue products so later references find them ("Glue may
@@ -119,6 +119,12 @@ fn glue_miss(
         satisfied.truncate(1);
     }
     Ok(Arc::new(satisfied))
+}
+
+/// The provenance label of Glue products, shared by every run.
+fn glue_origin() -> Arc<str> {
+    static GLUE: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(GLUE.get_or_init(|| Arc::from("Glue")))
 }
 
 /// Glue over an already-computed SAP: no requirements travel with a SAP, so
@@ -142,7 +148,7 @@ pub fn glue_plans(
         }
         out.push(engine.build_veneer(Lolepop::Filter { preds: extra }, vec![p.clone()])?);
     }
-    let out = dedup(out);
+    let out = dedup(&mut engine.dedup_seen, out);
     engine.tracer.emit(|| TraceEvent::GlueRef {
         ref_id: engine.cur_ref(),
         cache_hit: false,

@@ -40,7 +40,6 @@ impl<'a> NativeCtx<'a> {
         let best = self
             .table
             .keys_for_tables(tables)
-            .into_iter()
             .filter_map(|k| self.table.best(k))
             .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()));
         if let Some(p) = best {
@@ -396,9 +395,8 @@ fn n_covers(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
         ctx.query
             .pred(p)
             .cols()
-            .iter()
             .filter(|c| c.q == q)
-            .all(|c| key.contains(c))
+            .all(|c| key.contains(&c))
     });
     Ok(RuleValue::Bool(cols_ok && preds_ok))
 }

@@ -93,7 +93,7 @@ pub struct Optimized {
     /// Rule provenance: node fingerprint → "Star[alt k]" (or "Glue") that
     /// first produced it — §1's "traced to explain the origin of any
     /// execution plan".
-    pub provenance: std::collections::HashMap<u64, String>,
+    pub provenance: std::collections::HashMap<u64, Arc<str>>,
     /// Counters and per-phase wall-clock timings for this run.
     pub metrics: MetricsSummary,
     /// True when a budget resource ran out and the plan came from greedy,
@@ -116,7 +116,7 @@ impl Optimized {
             let rule = self
                 .provenance
                 .get(&n.fingerprint())
-                .map(|s| s.as_str())
+                .map(|s| &**s)
                 .unwrap_or("(driver)");
             out.push(format!("{} <= {}", n.op.name(), rule));
         });
@@ -124,12 +124,21 @@ impl Optimized {
     }
 }
 
-/// A rule-driven query optimizer: a catalog, a cost model, a rule set
-/// compiled from DSL text, a native-function registry, and a
-/// property-function registry.
+/// A rule-driven query optimizer: a catalog snapshot and a cost model,
+/// bound to a shared compiled repertoire (rule set, native-function
+/// registry, property-function registry).
 pub struct Optimizer {
     catalog: Arc<Catalog>,
     model: CostModel,
+    repertoire: Arc<Repertoire>,
+}
+
+/// Everything compiled from rule text and registrations. Rules never read
+/// the catalog, so one repertoire serves every catalog snapshot: optimizers
+/// rebound with [`Optimizer::with_catalog`] share it, and a registration or
+/// rule load on one of them copies it first.
+#[derive(Clone)]
+struct Repertoire {
     rules: RuleSet,
     natives: Natives,
     prop: PropEngine,
@@ -157,12 +166,26 @@ impl Optimizer {
         Optimizer {
             catalog,
             model: CostModel::default(),
-            rules: RuleSet::default(),
-            natives: Natives::builtin(),
-            prop: PropEngine::new(),
-            ext_ops: BTreeSet::new(),
-            compile_nanos: 0,
-            warnings: Vec::new(),
+            repertoire: Arc::new(Repertoire {
+                rules: RuleSet::default(),
+                natives: Natives::builtin(),
+                prop: PropEngine::new(),
+                ext_ops: BTreeSet::new(),
+                compile_nanos: 0,
+                warnings: Vec::new(),
+            }),
+        }
+    }
+
+    /// This optimizer rebound to another catalog snapshot, sharing the
+    /// compiled repertoire: O(1), nothing is recompiled. Plans equal those
+    /// of a freshly compiled optimizer over `catalog` with the same rules,
+    /// registrations, and cost model.
+    pub fn with_catalog(&self, catalog: Arc<Catalog>) -> Optimizer {
+        Optimizer {
+            catalog,
+            model: self.model.clone(),
+            repertoire: Arc::clone(&self.repertoire),
         }
     }
 
@@ -171,18 +194,19 @@ impl Optimizer {
     /// referenceable.
     pub fn load_rules(&mut self, text: &str) -> Result<()> {
         let started = std::time::Instant::now();
+        let rep = Arc::make_mut(&mut self.repertoire);
         let result = (|| {
             let ast = starqo_dsl::parse_rules(text)?;
             // Structural lints are advisory: legal-but-suspect rule shapes
             // accumulate as warnings instead of failing the load.
-            self.warnings.extend(starqo_dsl::lint_rules(&ast));
+            rep.warnings.extend(starqo_dsl::lint_rules(&ast));
             let env = CompileEnv {
-                natives: &self.natives,
-                ext_ops: &self.ext_ops,
+                natives: &rep.natives,
+                ext_ops: &rep.ext_ops,
             };
-            compile_into(&mut self.rules, &ast, &env)
+            compile_into(&mut rep.rules, &ast, &env)
         })();
-        self.compile_nanos += started.elapsed().as_nanos() as u64;
+        rep.compile_nanos += started.elapsed().as_nanos() as u64;
         result
     }
 
@@ -190,20 +214,23 @@ impl Optimizer {
     /// (unused parameters, unreachable alternatives, recursion without a
     /// base case).
     pub fn warnings(&self) -> &[starqo_dsl::LintWarning] {
-        &self.warnings
+        &self.repertoire.warnings
     }
 
     /// Register a new LOLEPOP (§5): name + property function. Rules loaded
     /// afterwards may reference it like any built-in operator. The run-time
     /// routine is registered separately with the executor.
     pub fn register_ext_op(&mut self, name: &str, prop_fn: ExtPropFn) {
-        self.prop.register_ext(name, prop_fn);
-        self.ext_ops.insert(name.to_string());
+        let rep = Arc::make_mut(&mut self.repertoire);
+        rep.prop.register_ext(name, prop_fn);
+        rep.ext_ops.insert(name.to_string());
     }
 
     /// Register a native condition/set function usable from rules.
     pub fn register_native(&mut self, name: &str, f: crate::natives::NativeFn) {
-        self.natives.register(name, f);
+        Arc::make_mut(&mut self.repertoire)
+            .natives
+            .register(name, f);
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -219,7 +246,7 @@ impl Optimizer {
     }
 
     pub fn rules(&self) -> &RuleSet {
-        &self.rules
+        &self.repertoire.rules
     }
 
     /// Optimize one query under the given configuration.
@@ -284,10 +311,11 @@ impl Optimizer {
         spans: &SpanContext,
     ) -> Result<Optimized> {
         let mut metrics = MetricsRegistry::new();
+        let rep = &*self.repertoire;
         let mut engine = Engine::new(
-            &self.rules,
-            &self.natives,
-            &self.prop,
+            &rep.rules,
+            &rep.natives,
+            &rep.prop,
             &self.catalog,
             query,
             &self.model,
@@ -327,8 +355,7 @@ impl Optimizer {
                     origin: engine
                         .provenance
                         .get(&n.fingerprint())
-                        .cloned()
-                        .unwrap_or_else(|| "(driver)".to_string()),
+                        .map_or_else(|| "(driver)".to_string(), |s| s.to_string()),
                     card: n.props.card,
                     cost: n.props.cost.total(),
                 });
@@ -338,7 +365,7 @@ impl Optimizer {
         // phase (and leave it inside `enumerate` — callers comparing the two
         // see how much of enumeration is property enforcement).
         metrics.add_phase_nanos(Phase::Glue, engine.glue_nanos());
-        metrics.add_phase_nanos(Phase::Compile, self.compile_nanos);
+        metrics.add_phase_nanos(Phase::Compile, rep.compile_nanos);
         let s = engine.stats;
         metrics.count("star_refs", s.star_refs);
         metrics.count("memo_hits", s.memo_hits);

@@ -8,6 +8,7 @@
 //! star with the same name *appends* a group.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::natives::Natives;
 use crate::value::RuleValue;
@@ -81,6 +82,9 @@ pub struct Alt {
     pub forall: Option<Expr>,
     pub expr: Expr,
     pub guard: Guard,
+    /// Provenance label, "Star[alt k]" (k counted within the group),
+    /// recorded for the plans this alternative produces.
+    pub origin: Arc<str>,
 }
 
 /// A group of alternatives sharing `with`-bindings and bracket kind.

@@ -142,12 +142,13 @@ impl PlanTable {
     }
 
     /// All keys whose quantifier set equals `tables` (any predicate set).
-    pub fn keys_for_tables(&self, tables: QSet) -> Vec<PlanKey> {
-        self.map
-            .keys()
-            .filter(|(t, _)| *t == tables)
-            .copied()
-            .collect()
+    pub fn keys_for_tables(&self, tables: QSet) -> impl Iterator<Item = PlanKey> + '_ {
+        self.map.keys().filter(move |(t, _)| *t == tables).copied()
+    }
+
+    /// True when some key's quantifier set equals `tables`.
+    pub fn has_tables(&self, tables: QSet) -> bool {
+        self.keys_for_tables(tables).next().is_some()
     }
 
     /// Number of plans retained across all keys.
@@ -257,8 +258,8 @@ mod tests {
         t.insert(plan(9.0, 9.0, 1, false, 2));
         assert_eq!(t.total_plans(), 2);
         assert_eq!(t.total_keys(), 1);
-        assert_eq!(t.keys_for_tables(QSet::single(QId(0))).len(), 1);
-        assert!(t.keys_for_tables(QSet::single(QId(5))).is_empty());
+        assert_eq!(t.keys_for_tables(QSet::single(QId(0))).count(), 1);
+        assert!(!t.has_tables(QSet::single(QId(5))));
         assert!(t
             .best((QSet::single(QId(5)), starqo_query::PredSet::EMPTY))
             .is_none());

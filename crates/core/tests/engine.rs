@@ -372,3 +372,44 @@ fn alternative_returning_non_plans_is_an_error() {
     let err = e.eval_star_by_name("NotPlans", dept_args()).unwrap_err();
     assert!(err.to_string().contains("did not produce plans"), "{err}");
 }
+
+/// `dedup` keeps the first plan of each fingerprint, in order, and a
+/// reused scratch set carries nothing over from the previous call.
+#[test]
+fn dedup_keeps_first_of_each_plan_in_order() {
+    use starqo_core::engine::dedup;
+    use starqo_plan::{AccessSpec, ColSet, PlanNode, PlanRef, Props};
+
+    let leaf = |q: u32| -> PlanRef {
+        PlanNode::with_props(
+            Lolepop::Access {
+                spec: AccessSpec::HeapTable(QId(q)),
+                cols: ColSet::new(),
+                preds: PredSet::EMPTY,
+            },
+            vec![],
+            Props::empty(SiteId(0)),
+        )
+    };
+    let mut seen = std::collections::HashSet::new();
+    for n in [50u32, 5] {
+        // Every plan appears twice; the second copies come first for odd
+        // ids, so "first occurrence" is not simply the sorted order.
+        let mut plans = Vec::new();
+        for q in 0..n {
+            plans.push(leaf(q));
+            if q % 2 == 1 {
+                plans.push(leaf(q - 1));
+            }
+        }
+        for q in 0..n {
+            plans.push(leaf(q));
+        }
+        let want: Vec<u64> = (0..n).map(|q| leaf(q).fingerprint()).collect();
+        let got: Vec<u64> = dedup(&mut seen, plans)
+            .iter()
+            .map(|p| p.fingerprint())
+            .collect();
+        assert_eq!(got, want, "n={n}");
+    }
+}

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use starqo_catalog::Catalog;
 use starqo_query::{PredSet, Query};
@@ -323,13 +324,13 @@ impl<'a> Explain<'a> {
     /// annotated by the rule alternative (fingerprint → "Star[alt k]") that
     /// first produced it. Nodes absent from the provenance map (e.g. built
     /// by the driver) render as `(driver)`.
-    pub fn lineage(&self, plan: &PlanNode, provenance: &HashMap<u64, String>) -> String {
+    pub fn lineage(&self, plan: &PlanNode, provenance: &HashMap<u64, Arc<str>>) -> String {
         let mut out = String::new();
         plan.visit_depth(&mut |n, depth| {
             let pad = "  ".repeat(depth);
             let origin = provenance
                 .get(&n.fingerprint())
-                .map(|s| s.as_str())
+                .map(|s| &**s)
                 .unwrap_or("(driver)");
             let _ = writeln!(
                 out,

@@ -254,9 +254,8 @@ impl PropEngine {
                 .query
                 .pred(p)
                 .cols()
-                .iter()
                 .filter(|c| c.q == q)
-                .all(|c| key_qcols.contains(c));
+                .all(|c| key_qcols.contains(&c));
             if !ok {
                 return Err(PlanError::Scope {
                     op: "ACCESS(index)",

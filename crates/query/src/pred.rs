@@ -1,6 +1,5 @@
 //! Predicates and predicate-set bitsets.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::qset::QSet;
@@ -81,15 +80,17 @@ impl PredExpr {
         }
     }
 
-    pub fn collect_cols(&self, out: &mut BTreeSet<QCol>) {
+    /// Visit every column reference, in expression order (repeats
+    /// included).
+    pub fn visit_cols<F: FnMut(QCol)>(&self, f: &mut F) {
         match self {
             PredExpr::Cmp(_, l, r) => {
-                l.collect_cols(out);
-                r.collect_cols(out);
+                l.visit_cols(f);
+                r.visit_cols(f);
             }
             PredExpr::Or(ps) => {
                 for p in ps {
-                    p.collect_cols(out);
+                    p.visit_cols(f);
                 }
             }
         }
@@ -131,11 +132,21 @@ impl Predicate {
         self.expr.quantifiers()
     }
 
-    /// χ(p): the columns of the predicate.
-    pub fn cols(&self) -> BTreeSet<QCol> {
-        let mut out = BTreeSet::new();
-        self.expr.collect_cols(&mut out);
-        out
+    /// χ(p): the columns of the predicate, ascending, each once. Nothing
+    /// is allocated: a predicate references a handful of columns, so each
+    /// step rescans the expression for the next larger one.
+    pub fn cols(&self) -> impl Iterator<Item = QCol> + '_ {
+        let mut last: Option<QCol> = None;
+        std::iter::from_fn(move || {
+            let mut next: Option<QCol> = None;
+            self.expr.visit_cols(&mut |c| {
+                if last < Some(c) && (next.is_none() || Some(c) < next) {
+                    next = Some(c);
+                }
+            });
+            last = next.or(last);
+            next
+        })
     }
 }
 
@@ -254,8 +265,20 @@ mod tests {
             ),
         };
         assert_eq!(p.quantifiers(), QSet::from_iter([QId(0), QId(1)]));
-        assert_eq!(p.cols().len(), 2);
+        assert_eq!(p.cols().count(), 2);
         assert_eq!(p.expr.to_string(), "q0.c0 = q1.c2");
+
+        // Ascending and distinct, whatever the expression order.
+        let c = |q, col| QCol::new(QId(q), ColId(col));
+        let p = Predicate {
+            id: PredId(1),
+            expr: PredExpr::Or(vec![
+                cmp(CmpOp::Eq, Scalar::Col(c(2, 1)), Scalar::Col(c(0, 3))),
+                cmp(CmpOp::Lt, Scalar::Col(c(0, 3)), Scalar::Col(c(1, 0))),
+            ]),
+        };
+        let cols: Vec<QCol> = p.cols().collect();
+        assert_eq!(cols, vec![c(0, 3), c(1, 0), c(2, 1)]);
     }
 
     #[test]

@@ -87,14 +87,20 @@ impl Scalar {
 
     /// Collect the quantified columns referenced by this expression.
     pub fn collect_cols(&self, out: &mut BTreeSet<QCol>) {
+        self.visit_cols(&mut |c| {
+            out.insert(c);
+        });
+    }
+
+    /// Visit every column reference, in expression order (repeats
+    /// included).
+    pub fn visit_cols<F: FnMut(QCol)>(&self, f: &mut F) {
         match self {
-            Scalar::Col(c) => {
-                out.insert(*c);
-            }
+            Scalar::Col(c) => f(*c),
             Scalar::Const(_) => {}
             Scalar::Arith(_, l, r) => {
-                l.collect_cols(out);
-                r.collect_cols(out);
+                l.visit_cols(f);
+                r.visit_cols(f);
             }
         }
     }

@@ -244,8 +244,20 @@ impl PlanCache {
             meta.saved_nanos = nanos;
             return (Ok((v, 0)), meta);
         }
+        self.serve_miss(key, fp_hash, epoch, cold, meta)
+    }
 
-        let fkey = (Arc::clone(fp), Arc::clone(sig), epoch);
+    /// The miss path of [`Self::serve`]: lead the cold optimization for
+    /// the key, or wait on the one in flight.
+    fn serve_miss(
+        &self,
+        key: Key,
+        fp_hash: u64,
+        epoch: u64,
+        cold: impl FnOnce() -> Result<(Arc<Optimized>, u64, bool), String>,
+        mut meta: CacheMeta,
+    ) -> (Result<(Arc<Optimized>, u64), String>, CacheMeta) {
+        let fkey = (Arc::clone(&key.0), Arc::clone(&key.1), epoch);
         let mut guard = match self.flights.lead_or_wait(fkey) {
             Role::Leader(g) => g,
             Role::Follower(Ok((v, nanos))) => {
@@ -255,6 +267,15 @@ impl PlanCache {
             }
             Role::Follower(Err(e)) => return (Err(e), meta),
         };
+        // A leader that finished between the caller's probe and this join
+        // has already cached its plan and retired its flight: serve that
+        // plan instead of optimizing the key a second time.
+        if let Some((v, nanos)) = self.probe(&key, fp_hash, epoch, &mut meta) {
+            guard.complete(Ok((Arc::clone(&v), nanos)));
+            meta.hit = true;
+            meta.saved_nanos = nanos;
+            return (Ok((v, 0)), meta);
+        }
         match cold() {
             Ok((value, nanos, cacheable)) => {
                 if cacheable {
@@ -359,6 +380,26 @@ mod tests {
         assert_eq!(meta.saved_nanos, 777);
         assert_eq!(cache.len(), 1);
         assert!(cache.bytes() > 0);
+    }
+
+    /// The interleaving behind "one cold optimization per fingerprint":
+    /// a request misses, another request optimizes, caches and retires its
+    /// flight, and only then does the first request join. It must be
+    /// served the cached plan, not become a second leader.
+    #[test]
+    fn leader_finishing_between_probe_and_join_is_not_repeated() {
+        let cache = PlanCache::new(&CacheConfig::default());
+        let (fp, sig) = (key("q1"), key("cfg"));
+        let v = optimized();
+        let k: Key = (Arc::clone(&fp), Arc::clone(&sig));
+        let mut meta = CacheMeta::default();
+        assert!(cache.probe(&k, 1, 0, &mut meta).is_none());
+        let (r, other) = cache.serve(&fp, &sig, 1, 0, || Ok((Arc::clone(&v), 55, true)));
+        assert!(r.is_ok() && !other.hit && !other.coalesced);
+        let (r, meta) = cache.serve_miss(k, 1, 0, || panic!("optimized twice"), meta);
+        assert!(r.is_ok());
+        assert!(meta.hit);
+        assert_eq!(meta.saved_nanos, 55);
     }
 
     #[test]

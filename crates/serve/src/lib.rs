@@ -18,7 +18,8 @@
 //! * at most one cold optimization runs per distinct `(fingerprint,
 //!   config, epoch)` at any moment (single-flight);
 //! * a catalog epoch bump (stats refresh, index DDL) lazily invalidates
-//!   stale entries on contact and recompiles the optimizer;
+//!   stale entries on contact and rebinds the compiled rule repertoire
+//!   to the new snapshot (rules are compiled once per service);
 //! * cold optimizations are admission-controlled: a concurrency gate with
 //!   bounded queueing (typed [`ServeError::Rejected`]) plus per-request
 //!   deadlines that *degrade* plans via the optimizer budget instead of

@@ -1,7 +1,7 @@
 //! The optimization service: prepare, optimize, execute — concurrently.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use starqo_catalog::{Catalog, CatalogOverlay, SharedCatalog};
@@ -274,9 +274,11 @@ pub struct Service {
     config_sig: Arc<str>,
     cache: PlanCache,
     gate: OptGate,
-    /// The compiled optimizer, tagged with the catalog epoch it was built
-    /// against; rebuilt (rules recompiled) when the epoch moves.
-    optimizer: RwLock<(u64, Arc<Optimizer>)>,
+    /// The rule repertoire, compiled once at construction. Every cold
+    /// optimization and heal re-optimization rebinds it to the catalog
+    /// snapshot it plans against ([`Optimizer::with_catalog`]); it is
+    /// itself bound to an empty catalog, so it pins no snapshot.
+    optimizer: Optimizer,
     telemetry: Arc<Telemetry>,
     tracer: Tracer,
     /// The self-healing schedule, present iff `config.heal` is set.
@@ -295,14 +297,14 @@ impl Service {
         catalog: Arc<SharedCatalog>,
         config: ServiceConfig,
     ) -> Result<Self, ServeError> {
-        let (cat, epoch) = catalog.snapshot();
-        let optimizer = Optimizer::new(cat).map_err(|e| ServeError::Catalog(e.to_string()))?;
+        let optimizer = Optimizer::new(Arc::new(Catalog::default()))
+            .map_err(|e| ServeError::Catalog(e.to_string()))?;
         let config_sig: Arc<str> = Arc::from(format!("{:?}", config.opt_config).as_str());
         let healer = config.heal.clone().map(Healer::new);
         Ok(Service {
             cache: PlanCache::new(&config.cache),
             gate: OptGate::new(config.max_concurrent_opt),
-            optimizer: RwLock::new((epoch, Arc::new(optimizer))),
+            optimizer,
             telemetry: Arc::new(Telemetry::new(config.telemetry)),
             tracer: Tracer::off(),
             healer,
@@ -474,8 +476,7 @@ impl Service {
         let tracer = self.request_tracer(fp.hash);
 
         if !self.config.cache_enabled {
-            let (optimized, nanos) =
-                self.cold_optimize(prepared, &cat, epoch, deadline, &tracer, ctx)?;
+            let (optimized, nanos) = self.cold_optimize(prepared, &cat, deadline, &tracer, ctx)?;
             self.telemetry.add(Metric::CacheMiss, 1);
             self.telemetry.add(Metric::OptNanos, nanos);
             self.telemetry.observe(LatencyPath::Optimize, nanos);
@@ -494,7 +495,7 @@ impl Service {
         let (result, meta) = self
             .cache
             .serve(&fp_text, &self.config_sig, fp.hash, epoch, || {
-                match self.cold_optimize(prepared, &cat, epoch, deadline, &tracer, ctx) {
+                match self.cold_optimize(prepared, &cat, deadline, &tracer, ctx) {
                     Ok((optimized, nanos)) => {
                         let cacheable = !optimized.degraded;
                         Ok((optimized, nanos, cacheable))
@@ -763,7 +764,6 @@ impl Service {
         &self,
         prepared: &Prepared,
         cat: &Arc<Catalog>,
-        epoch: u64,
         deadline: Option<Duration>,
         tracer: &Tracer,
         ctx: &SpanContext,
@@ -778,7 +778,8 @@ impl Service {
                 ),
             }
         })?;
-        let optimizer = self.optimizer_for(cat, epoch)?;
+        // Rebinding is O(1): an epoch bump recompiles no rule.
+        let optimizer = self.optimizer.with_catalog(Arc::clone(cat));
         let mut config = self.config.opt_config.clone();
         if let Some(d) = deadline.or(self.config.default_deadline) {
             config.budget.deadline = Some(match config.budget.deadline {
@@ -803,34 +804,19 @@ impl Service {
         let nanos = started.elapsed().as_nanos() as u64;
         drop(opt_span);
         // Fold the optimizer's own phase clocks into the cold-path profile
-        // (names shared with the per-request MetricsRegistry).
+        // (names shared with the per-request MetricsRegistry). Its `compile`
+        // phase is the repertoire's one-time compile at construction, not
+        // work done inside this request, so it is not charged here.
         for (name, phase_nanos) in optimized.metrics.phase_nanos() {
-            if let Some(kind) = PhaseKind::from_name(name) {
-                self.telemetry.record_phase(kind, *phase_nanos);
+            match PhaseKind::from_name(name) {
+                Some(PhaseKind::Compile) | None => {}
+                Some(kind) => self.telemetry.record_phase(kind, *phase_nanos),
             }
         }
         if optimized.degraded {
             self.telemetry.add(Metric::Degraded, 1);
         }
         Ok((Arc::new(optimized), nanos))
-    }
-
-    /// The compiled optimizer for this epoch, rebuilding (recompiling the
-    /// rule repertoire against the new snapshot) when the epoch moved.
-    fn optimizer_for(&self, cat: &Arc<Catalog>, epoch: u64) -> Result<Arc<Optimizer>, ServeError> {
-        {
-            let g = self.optimizer.read().unwrap_or_else(|p| p.into_inner());
-            if g.0 == epoch {
-                return Ok(Arc::clone(&g.1));
-            }
-        }
-        let mut g = self.optimizer.write().unwrap_or_else(|p| p.into_inner());
-        if g.0 != epoch {
-            let rebuilt =
-                Optimizer::new(Arc::clone(cat)).map_err(|e| ServeError::Catalog(e.to_string()))?;
-            *g = (epoch, Arc::new(rebuilt));
-        }
-        Ok(Arc::clone(&g.1))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1073,10 +1059,7 @@ impl Service {
         if fault("optimize") {
             return pin(reason::REOPT_ERROR, true);
         }
-        let optimizer = match Optimizer::new(overlay_cat) {
-            Ok(o) => o,
-            Err(_) => return pin(reason::REOPT_ERROR, true),
-        };
+        let optimizer = self.optimizer.with_catalog(overlay_cat);
         let mut oc = self.config.opt_config.clone();
         oc.budget = cfg.budget.clone();
         let opt_started = Instant::now();

@@ -128,6 +128,48 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     assert_eq!(svc.counters().reopt_attempts, 1, "no reopt storm");
 }
 
+/// The `compile` phase an optimization reports: the accumulated rule-compile
+/// time of the repertoire that planned it. Equal nanos mean one shared
+/// compiled repertoire; a recompile is timed afresh.
+fn compile_nanos(o: &starqo_core::Optimized) -> u64 {
+    o.metrics
+        .phase_nanos()
+        .iter()
+        .find(|(name, _)| name == "compile")
+        .map(|(_, nanos)| *nanos)
+        .expect("compile phase")
+}
+
+#[test]
+fn heal_reoptimization_rebinds_the_compiled_rules() {
+    let cat = catalog();
+    let db = drifted_database(&cat);
+    let svc = Service::new(
+        Arc::clone(&cat),
+        heal_service_config(HealConfig {
+            probation_runs: 1,
+            ..HealConfig::default()
+        }),
+    )
+    .unwrap();
+    let q = parse_query(&cat, DRIFT_SQL).unwrap();
+    let incumbent = svc.optimize(&q).unwrap().optimized;
+    for _ in 0..5 {
+        svc.execute(&db, &q).unwrap();
+    }
+    assert_eq!(svc.counters().plan_swaps, 1);
+
+    let healed = svc.optimize(&q).unwrap();
+    assert!(healed.cache_hit);
+    assert!(!Arc::ptr_eq(&healed.optimized, &incumbent), "swapped in");
+    assert!(compile_nanos(&incumbent) > 0);
+    assert_eq!(
+        compile_nanos(&healed.optimized),
+        compile_nanos(&incumbent),
+        "a heal re-optimization must rebind the compiled rules, not recompile them"
+    );
+}
+
 #[test]
 fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     let cat = catalog();

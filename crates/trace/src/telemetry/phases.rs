@@ -28,7 +28,8 @@ pub enum PhaseKind {
     Enumerate,
     /// Glue-rule invocations (nested inside enumerate).
     Glue,
-    /// Rule compilation folded into a cold optimization.
+    /// Rule compilation run inside a request (a service compiles its
+    /// rules once, at construction, so the serve path records none).
     Compile,
     /// Plan execution.
     Execute,

@@ -122,9 +122,8 @@ impl XformRule for AccessMethod {
                     ctx.query
                         .pred(p)
                         .cols()
-                        .iter()
                         .filter(|c| c.q == q)
-                        .all(|c| key_qcols.contains(c))
+                        .all(|c| key_qcols.contains(&c))
                 });
             if covering {
                 if let Some(p) = build(

@@ -124,7 +124,7 @@ fn main() {
         let origin = optimized
             .provenance
             .get(&fp)
-            .map(String::as_str)
+            .map(|s| &**s)
             .unwrap_or("(driver)");
         let fired = events
             .iter()

@@ -120,7 +120,7 @@ fn stats_epoch_bump_reoptimizes_with_new_cardinality() {
 }
 
 /// Index DDL bumps the epoch too: after CREATE INDEX the re-optimization
-/// runs against a recompiled rule set that can see the new access path.
+/// runs against the new snapshot, where the rules see the new access path.
 #[test]
 fn index_ddl_invalidates_and_reoptimizes() {
     let cat = small_catalog(37);
