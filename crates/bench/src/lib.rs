@@ -71,7 +71,8 @@ impl Report {
         let _ = writeln!(self.body, "{}", s.as_ref());
     }
 
-    /// Fold one optimization run's metrics into this report's totals.
+    /// Fold one run's metrics (an optimization's `Optimized::summary()` or
+    /// an experiment's own counters) into this report's totals.
     pub fn absorb(&mut self, m: &MetricsSummary) {
         self.metrics.absorb(m);
     }

@@ -48,7 +48,7 @@ pub use budget::Budget;
 pub use engine::{Engine, OptStats, QuarantineRecord};
 pub use error::{CoreError, Result};
 pub use faults::{FaultMode, FaultPlan};
-pub use optimizer::{OptConfig, Optimized, Optimizer};
+pub use optimizer::{OptConfig, OptMetrics, Optimized, Optimizer};
 pub use rules::{RuleSet, StarId};
 pub use value::{ReqVec, RuleValue, StreamRef};
 

@@ -2,12 +2,14 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use starqo_catalog::Catalog;
 use starqo_plan::{CostModel, ExtPropFn, PlanRef, PropEngine};
 use starqo_query::Query;
 use starqo_trace::{
-    Metric, MetricsRegistry, MetricsSummary, Phase, SpanContext, Telemetry, TraceEvent, Tracer,
+    Histogram, Metric, MetricsRegistry, MetricsSummary, PhaseKind, SpanContext, Telemetry,
+    TraceEvent, Tracer,
 };
 
 use crate::budget::Budget;
@@ -94,8 +96,9 @@ pub struct Optimized {
     /// first produced it — §1's "traced to explain the origin of any
     /// execution plan".
     pub provenance: std::collections::HashMap<u64, Arc<str>>,
-    /// Counters and per-phase wall-clock timings for this run.
-    pub metrics: MetricsSummary,
+    /// Per-phase wall-clock timings and value distributions for this run
+    /// (the work counters are [`Self::stats`] and [`Self::table_stats`]).
+    pub metrics: OptMetrics,
     /// True when a budget resource ran out and the plan came from greedy,
     /// best-so-far exploration (anytime semantics). The plan is still
     /// complete and executable.
@@ -107,7 +110,68 @@ pub struct Optimized {
     pub quarantined: Vec<QuarantineRecord>,
 }
 
+/// The timings of one optimization: nanos per [`PhaseKind`] it measured
+/// (enumerate, glue, compile) and two log-bucketed distributions.
+#[derive(Debug, Clone, Default)]
+pub struct OptMetrics {
+    phase_nanos: [Option<u64>; PhaseKind::COUNT],
+    /// Inclusive nanos per STAR reference (recorded only when a tracer is
+    /// attached).
+    pub star_ref_nanos: Histogram,
+    /// `cost.once` of every plan node built.
+    pub plan_cost_once: Histogram,
+}
+
+impl OptMetrics {
+    /// Nanos spent in `phase`, or `None` when the optimizer does not
+    /// measure it.
+    pub fn phase(&self, phase: PhaseKind) -> Option<u64> {
+        self.phase_nanos[phase as usize]
+    }
+
+    fn set_phase(&mut self, phase: PhaseKind, nanos: u64) {
+        self.phase_nanos[phase as usize] = Some(nanos);
+    }
+}
+
 impl Optimized {
+    /// This run's work counters, phase timings and histograms under their
+    /// report names (the keys of benchmark `BENCH_*.json` files).
+    pub fn summary(&self) -> MetricsSummary {
+        let s = &self.stats;
+        let t = &self.table_stats;
+        let mut reg = MetricsRegistry::new();
+        for (name, value) in [
+            ("star_refs", s.star_refs),
+            ("memo_hits", s.memo_hits),
+            ("alts_considered", s.alts_considered),
+            ("conds_evaluated", s.conds_evaluated),
+            ("plans_built", s.plans_built),
+            ("plans_rejected", s.plans_rejected),
+            ("glue_refs", s.glue_refs),
+            ("glue_cache_hits", s.glue_cache_hits),
+            ("glue_veneers", s.glue_veneers),
+            ("native_calls", s.native_calls),
+            ("table_offered", t.offered),
+            ("table_dominated", t.dominated),
+            ("table_evicted", t.evicted),
+            ("table_duplicates", t.duplicates),
+            ("rules_quarantined", self.quarantined.len() as u64),
+            ("degraded", self.degraded as u64),
+        ] {
+            reg.count(name, value);
+        }
+        reg.merge_hist("star_ref_nanos", &self.metrics.star_ref_nanos);
+        reg.merge_hist("plan_cost_once", &self.metrics.plan_cost_once);
+        let mut summary = reg.summary();
+        for phase in PhaseKind::ALL {
+            if let Some(nanos) = self.metrics.phase(phase) {
+                summary.add_phase(phase, nanos);
+            }
+        }
+        summary
+    }
+
     /// The origin chain of a plan: one line per node, pre-order, annotated
     /// with the rule alternative that produced it.
     pub fn origin_trace(&self, plan: &PlanRef) -> Vec<String> {
@@ -292,8 +356,7 @@ impl Optimizer {
     }
 
     /// [`Self::optimize`] with a structured-event tracer attached. The
-    /// engine, plan table, and Glue all emit through it; phase timings and
-    /// work counters land in [`Optimized::metrics`].
+    /// engine, plan table, and Glue all emit through it.
     pub fn optimize_traced(
         &self,
         query: &Query,
@@ -310,7 +373,6 @@ impl Optimizer {
         tracer: Tracer,
         spans: &SpanContext,
     ) -> Result<Optimized> {
-        let mut metrics = MetricsRegistry::new();
         let rep = &*self.repertoire;
         let mut engine = Engine::new(
             &rep.rules,
@@ -323,9 +385,8 @@ impl Optimizer {
         );
         engine.set_tracer(tracer.clone());
         engine.set_spans(spans.clone());
-        let span = tracer.span("optimize");
         let enumerate_span = spans.enter("enumerate");
-        let timer = metrics.start(Phase::Enumerate);
+        let started = Instant::now();
         // Last-resort containment: panics escaping the engine's per-
         // alternative quarantine (e.g. from driver-level Glue) surface as
         // a typed error, never a process abort.
@@ -338,9 +399,8 @@ impl Optimizer {
                     msg: panic_msg(payload),
                 }),
             };
-        metrics.finish(timer);
+        let enumerate_nanos = started.elapsed().as_nanos() as u64;
         drop(enumerate_span);
-        drop(span);
         let out = out?;
         // Emit the winning plan's lineage: one pre-order `best_node` per
         // operator, annotated with the rule alternative that produced it —
@@ -364,28 +424,14 @@ impl Optimizer {
         // Glue time is nested inside enumeration; report it under its own
         // phase (and leave it inside `enumerate` — callers comparing the two
         // see how much of enumeration is property enforcement).
-        metrics.add_phase_nanos(Phase::Glue, engine.glue_nanos());
-        metrics.add_phase_nanos(Phase::Compile, rep.compile_nanos);
-        let s = engine.stats;
-        metrics.count("star_refs", s.star_refs);
-        metrics.count("memo_hits", s.memo_hits);
-        metrics.count("alts_considered", s.alts_considered);
-        metrics.count("conds_evaluated", s.conds_evaluated);
-        metrics.count("plans_built", s.plans_built);
-        metrics.count("plans_rejected", s.plans_rejected);
-        metrics.count("glue_refs", s.glue_refs);
-        metrics.count("glue_cache_hits", s.glue_cache_hits);
-        metrics.count("glue_veneers", s.glue_veneers);
-        metrics.count("native_calls", s.native_calls);
-        let t = engine.table.stats;
-        metrics.count("table_offered", t.offered);
-        metrics.count("table_dominated", t.dominated);
-        metrics.count("table_evicted", t.evicted);
-        metrics.count("table_duplicates", t.duplicates);
-        metrics.merge_hist("star_ref_nanos", &engine.star_nanos);
-        metrics.merge_hist("plan_cost_once", &engine.plan_cost);
-        metrics.count("rules_quarantined", engine.quarantine_log.len() as u64);
-        metrics.count("degraded", engine.degraded() as u64);
+        let mut metrics = OptMetrics {
+            star_ref_nanos: std::mem::take(&mut engine.star_nanos),
+            plan_cost_once: std::mem::take(&mut engine.plan_cost),
+            ..OptMetrics::default()
+        };
+        metrics.set_phase(PhaseKind::Enumerate, enumerate_nanos);
+        metrics.set_phase(PhaseKind::Glue, engine.glue_nanos());
+        metrics.set_phase(PhaseKind::Compile, rep.compile_nanos);
         let degraded = engine.degraded();
         let degraded_reason = engine.degraded_reason().map(str::to_string);
         Ok(Optimized {
@@ -396,7 +442,7 @@ impl Optimizer {
             table_plans: engine.table.total_plans(),
             table_keys: engine.table.total_keys(),
             provenance: engine.provenance,
-            metrics: metrics.summary(),
+            metrics,
             degraded,
             degraded_reason,
             quarantined: engine.quarantine_log,

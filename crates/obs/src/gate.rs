@@ -7,8 +7,10 @@
 //!   a fixed rule set and query — gated by the tighter `counter_pct`.
 //!
 //! Only *increases* violate: doing less work or running faster never
-//! fails the gate. Counters present in just one file are reported as
-//! informational notes, not violations (benchmarks grow new counters).
+//! fails the gate. A counter new in the fresh run is an informational
+//! note (benchmarks grow new counters); a baseline counter missing from
+//! the fresh run fails an enforced gate, so a dropped counter cannot pass
+//! silently.
 
 use std::fmt::Write as _;
 
@@ -33,11 +35,25 @@ pub struct GateResult {
     pub checked: usize,
     /// Counters present in only one of the two files.
     pub notes: Vec<String>,
+    /// Baseline counters absent from the fresh run.
+    pub missing: Vec<String>,
 }
 
 impl GateResult {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Whether an enforced gate fails: on any violation, or with
+    /// `counters_only` (`--enforce-counters`) on work-counter violations
+    /// alone, wall-clock staying report-only. A missing baseline counter
+    /// fails either way.
+    pub fn fails(&self, counters_only: bool) -> bool {
+        !self.missing.is_empty()
+            || self
+                .violations
+                .iter()
+                .any(|v| !counters_only || v.metric != "wall_ms")
     }
 
     pub fn render(&self) -> String {
@@ -122,9 +138,12 @@ pub fn gate(baseline: &str, fresh: &str, th: Thresholds) -> Result<GateResult, S
                 result.checked += 1;
                 check(k, *bv, *fv, th.counter_pct, &mut result.violations);
             }
-            None => result
-                .notes
-                .push(format!("counter {k} missing from fresh run")),
+            None => {
+                result.missing.push(k.clone());
+                result
+                    .notes
+                    .push(format!("counter {k} missing from fresh run"));
+            }
         }
     }
     for (k, _) in &fc {
@@ -217,6 +236,20 @@ mod tests {
         let r = gate(base, fresh, Thresholds::default()).unwrap();
         assert!(r.passed());
         assert_eq!(r.notes.len(), 2);
+    }
+
+    #[test]
+    fn a_missing_baseline_counter_fails_an_enforced_gate() {
+        let base = bench_json(100.0, 500, 2000);
+        let fresh = base.replace("\"plans_built\":2000,", "");
+        let r = gate(&base, &fresh, Thresholds::default()).unwrap();
+        assert_eq!(r.missing, vec!["plans_built".to_string()]);
+        assert!(r.fails(true) && r.fails(false), "{r:?}");
+        // The same run with the counter present passes both modes, and a
+        // wall-clock-only regression fails only the full enforcement.
+        let r = gate(&base, &bench_json(200.0, 500, 2000), Thresholds::default()).unwrap();
+        assert!(r.missing.is_empty());
+        assert!(!r.fails(true) && r.fails(false), "{r:?}");
     }
 
     #[test]

@@ -230,38 +230,41 @@ impl ServeCountersSnapshot {
     /// Deterministic counters only — wall-clock sums (`*_nanos`) stay out
     /// so benchmark gates can enforce these values exactly.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("serve_requests", self.requests),
-            ("serve_cache_hit", self.hits),
-            ("serve_cache_coalesced", self.coalesced),
-            ("serve_cache_miss", self.misses),
-            ("serve_cache_evict", self.evictions),
-            ("serve_cache_invalidate", self.invalidations),
-            ("serve_rejected", self.rejected),
-            ("serve_degraded", self.degraded),
-            ("serve_errors", self.errors),
-            ("serve_executions", self.executions),
-            ("serve_exec_rows", self.exec_rows),
-            ("serve_trace_sampled", self.trace_sampled),
-            ("serve_trace_unsampled", self.trace_unsampled),
-            ("opt_star_refs", self.star_refs),
-            ("opt_memo_hits", self.memo_hits),
-            ("opt_plans_built", self.plans_built),
-            ("opt_glue_refs", self.glue_refs),
-            ("serve_pipeline_rows", self.pipeline_rows),
-            ("serve_feedback_runs", self.feedback_runs),
-            ("serve_suspects_flagged", self.suspects_flagged),
-            ("serve_reopt_attempts", self.reopt_attempts),
-            ("serve_reopt_failures", self.reopt_failures),
-            ("serve_reopt_backoff", self.reopt_backoff),
-            ("serve_reopt_retry_capped", self.reopt_retry_capped),
-            ("serve_plan_swap", self.plan_swaps),
-            ("serve_plan_pinned", self.plan_pinned),
-            ("vexec_batches", self.vexec_batches),
-            ("vexec_morsels", self.vexec_morsels),
-            ("vexec_rows", self.vexec_rows),
-            ("vexec_fallbacks", self.vexec_fallbacks),
+        [
+            (Metric::Requests, self.requests),
+            (Metric::CacheHit, self.hits),
+            (Metric::CacheCoalesced, self.coalesced),
+            (Metric::CacheMiss, self.misses),
+            (Metric::CacheEvict, self.evictions),
+            (Metric::CacheInvalidate, self.invalidations),
+            (Metric::Rejected, self.rejected),
+            (Metric::Degraded, self.degraded),
+            (Metric::Errors, self.errors),
+            (Metric::Executions, self.executions),
+            (Metric::ExecRows, self.exec_rows),
+            (Metric::TraceSampled, self.trace_sampled),
+            (Metric::TraceUnsampled, self.trace_unsampled),
+            (Metric::StarRefs, self.star_refs),
+            (Metric::MemoHits, self.memo_hits),
+            (Metric::PlansBuilt, self.plans_built),
+            (Metric::GlueRefs, self.glue_refs),
+            (Metric::PipelineRows, self.pipeline_rows),
+            (Metric::FeedbackRuns, self.feedback_runs),
+            (Metric::SuspectFlagged, self.suspects_flagged),
+            (Metric::ReoptAttempts, self.reopt_attempts),
+            (Metric::ReoptFailures, self.reopt_failures),
+            (Metric::ReoptBackoff, self.reopt_backoff),
+            (Metric::ReoptRetryCapped, self.reopt_retry_capped),
+            (Metric::PlanSwap, self.plan_swaps),
+            (Metric::PlanPinned, self.plan_pinned),
+            (Metric::VexecBatches, self.vexec_batches),
+            (Metric::VexecMorsels, self.vexec_morsels),
+            (Metric::VexecRows, self.vexec_rows),
+            (Metric::VexecFallbacks, self.vexec_fallbacks),
         ]
+        .into_iter()
+        .map(|(m, v)| (m.name(), v))
+        .collect()
     }
 }
 
@@ -803,14 +806,16 @@ impl Service {
             })?;
         let nanos = started.elapsed().as_nanos() as u64;
         drop(opt_span);
-        // Fold the optimizer's own phase clocks into the cold-path profile
-        // (names shared with the per-request MetricsRegistry). Its `compile`
-        // phase is the repertoire's one-time compile at construction, not
-        // work done inside this request, so it is not charged here.
-        for (name, phase_nanos) in optimized.metrics.phase_nanos() {
-            match PhaseKind::from_name(name) {
-                Some(PhaseKind::Compile) | None => {}
-                Some(kind) => self.telemetry.record_phase(kind, *phase_nanos),
+        // Fold the optimizer's own phase clocks into the cold-path profile.
+        // Its `compile` phase is the repertoire's one-time compile at
+        // construction, not work done inside this request, so it is not
+        // charged here.
+        for phase in PhaseKind::ALL
+            .into_iter()
+            .filter(|p| *p != PhaseKind::Compile)
+        {
+            if let Some(nanos) = optimized.metrics.phase(phase) {
+                self.telemetry.record_phase(phase, nanos);
             }
         }
         if optimized.degraded {

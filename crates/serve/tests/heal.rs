@@ -17,7 +17,7 @@ use starqo_core::FaultPlan;
 use starqo_query::parse_query;
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
-use starqo_trace::{MemorySink, SuspectConfig, TelemetryConfig, TraceEvent, Tracer};
+use starqo_trace::{MemorySink, PhaseKind, SuspectConfig, TelemetryConfig, TraceEvent, Tracer};
 
 const DRIFT_SQL: &str = "SELECT E.NAME FROM EMP E WHERE E.DNO = 1";
 
@@ -132,12 +132,7 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
 /// time of the repertoire that planned it. Equal nanos mean one shared
 /// compiled repertoire; a recompile is timed afresh.
 fn compile_nanos(o: &starqo_core::Optimized) -> u64 {
-    o.metrics
-        .phase_nanos()
-        .iter()
-        .find(|(name, _)| name == "compile")
-        .map(|(_, nanos)| *nanos)
-        .expect("compile phase")
+    o.metrics.phase(PhaseKind::Compile).expect("compile phase")
 }
 
 #[test]

@@ -136,10 +136,6 @@ pub enum TraceEvent {
     /// The named query finished executing: final row count and inclusive
     /// optimize+execute wall-clock time.
     QueryDone { name: String, rows: u64, nanos: u64 },
-    /// A named span opened (engine phases, per-query wrappers, ...).
-    SpanStart { name: String },
-    /// A named span closed after `nanos`.
-    SpanEnd { name: String, nanos: u64 },
     /// A free-form named counter observation (metrics bridge).
     Counter { name: String, value: u64 },
     /// A rule alternative panicked or errored and was disabled for the
@@ -237,8 +233,6 @@ impl TraceEvent {
             TraceEvent::ExecNode { .. } => "exec_node",
             TraceEvent::QueryStart { .. } => "query_start",
             TraceEvent::QueryDone { .. } => "query_done",
-            TraceEvent::SpanStart { .. } => "span_start",
-            TraceEvent::SpanEnd { .. } => "span_end",
             TraceEvent::Counter { .. } => "counter",
             TraceEvent::RuleQuarantined { .. } => "rule_quarantined",
             TraceEvent::BudgetExhausted { .. } => "budget_exhausted",
@@ -395,8 +389,6 @@ impl TraceEvent {
             TraceEvent::QueryDone { name, rows, nanos } => {
                 o.str("name", name).u64("rows", *rows).u64("nanos", *nanos)
             }
-            TraceEvent::SpanStart { name } => o.str("name", name),
-            TraceEvent::SpanEnd { name, nanos } => o.str("name", name).u64("nanos", *nanos),
             TraceEvent::Counter { name, value } => o.str("name", name).u64("value", *value),
             TraceEvent::RuleQuarantined {
                 star,
@@ -576,13 +568,6 @@ impl TraceEvent {
             "query_done" => TraceEvent::QueryDone {
                 name: str_of("name")?,
                 rows: u64_of("rows")?,
-                nanos: u64_of("nanos")?,
-            },
-            "span_start" => TraceEvent::SpanStart {
-                name: str_of("name")?,
-            },
-            "span_end" => TraceEvent::SpanEnd {
-                name: str_of("name")?,
                 nanos: u64_of("nanos")?,
             },
             "counter" => TraceEvent::Counter {
@@ -821,13 +806,6 @@ mod tests {
                 rows: 84,
                 nanos: 77_000,
             },
-            TraceEvent::SpanStart {
-                name: "optimize".into(),
-            },
-            TraceEvent::SpanEnd {
-                name: "optimize".into(),
-                nanos: 5_000,
-            },
             TraceEvent::Counter {
                 name: "x".into(),
                 value: 1,
@@ -981,11 +959,11 @@ mod tests {
 
     #[test]
     fn read_events_skips_bad_lines_and_blanks() {
-        let text = "\n{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\ngarbage\n\n{\"type\":\"span_start\",\"name\":\"s\"}\n";
+        let text = "\n{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\ngarbage\n\n{\"type\":\"query_start\",\"name\":\"s\"}\n";
         let (events, skipped) = read_events(text);
         assert_eq!(events.len(), 2);
         assert_eq!(skipped, 1);
         assert_eq!(events[0].kind(), "counter");
-        assert_eq!(events[1].kind(), "span_start");
+        assert_eq!(events[1].kind(), "query_start");
     }
 }

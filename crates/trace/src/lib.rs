@@ -1,8 +1,10 @@
 //! # starqo-trace
 //!
 //! Structured observability for the STAR optimizer and the plan executor:
-//! typed [`TraceEvent`]s flowing into pluggable [`TraceSink`]s, named spans,
-//! and a [`MetricsRegistry`] of counters plus per-phase timers.
+//! typed [`TraceEvent`]s flowing into pluggable [`TraceSink`]s, the live
+//! [`Telemetry`] plane (striped counters and [`PhaseKind`] time
+//! attribution, request span trees), and a [`MetricsRegistry`] of named
+//! counters for benchmark reports.
 //!
 //! The crate is dependency-free by design (JSON serialization is
 //! hand-rolled in [`json`]) and its hot path is free when tracing is off:
@@ -25,18 +27,19 @@ pub mod telemetry;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 pub use event::{load_jsonl, read_events, CostBreakdownEv, NodeActuals, TraceEvent};
 pub use hist::Histogram;
-pub use metrics::{MetricsRegistry, MetricsSummary, Phase, PhaseTimer};
+pub use metrics::{MetricsRegistry, MetricsSummary};
 pub use read::{parse_json, JsonError, JsonValue};
 pub use sink::{JsonLinesSink, MemorySink, NullSink, TraceSink};
+/// The former optimizer-only phase name, kept for the serve-path benchmark.
+pub use telemetry::PhaseKind as Phase;
 pub use telemetry::{
     from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, FeedbackPlane, HealRecord,
-    HotQuery, LatencyPath, Metric, PhaseKind, PhasePlane, QErrorSketch, SnapshotRing, SpanContext,
-    SpanGuard, SpanMode, SpanRecord, SpanStore, SpanTree, SuspectConfig, SuspectVerdict,
-    TailConfig, TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceSampler,
+    HotQuery, LatencyPath, Metric, PhaseKind, QErrorSketch, SnapshotRing, SpanContext, SpanGuard,
+    SpanMode, SpanRecord, SpanStore, SpanTree, SuspectConfig, SuspectVerdict, TailConfig,
+    TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceSampler,
 };
 
 /// Global count of trace events ever constructed in this process. Only
@@ -110,48 +113,10 @@ impl Tracer {
         }
     }
 
-    /// Open a named span; the guard emits `span_end` with elapsed nanos on
-    /// drop. With tracing off this is a no-op guard.
-    pub fn span(&self, name: &str) -> Span {
-        if self.enabled() {
-            self.emit(|| TraceEvent::SpanStart {
-                name: name.to_string(),
-            });
-            Span {
-                tracer: self.clone(),
-                name: Some(name.to_string()),
-                start: Instant::now(),
-            }
-        } else {
-            Span {
-                tracer: Tracer::off(),
-                name: None,
-                start: Instant::now(),
-            }
-        }
-    }
-
     /// Flush the underlying sink, if any.
     pub fn flush(&self) {
         if let Some(sink) = &self.inner {
             sink.flush();
-        }
-    }
-}
-
-/// RAII guard for a named span; see [`Tracer::span`].
-#[derive(Debug)]
-pub struct Span {
-    tracer: Tracer,
-    name: Option<String>,
-    start: Instant,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            self.tracer.emit(|| TraceEvent::SpanEnd { name, nanos });
         }
     }
 }
@@ -197,29 +162,6 @@ mod tests {
                 value: 3
             }]
         );
-    }
-
-    #[test]
-    fn spans_pair_start_and_end() {
-        let sink = Arc::new(MemorySink::new());
-        let t = Tracer::shared(sink.clone());
-        {
-            let _s = t.span("enumerate");
-            t.emit(|| TraceEvent::Counter {
-                name: "inside".into(),
-                value: 1,
-            });
-        }
-        let evs = sink.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(
-            evs[0],
-            TraceEvent::SpanStart {
-                name: "enumerate".into()
-            }
-        );
-        assert_eq!(evs[1].kind(), "counter");
-        assert!(matches!(&evs[2], TraceEvent::SpanEnd { name, .. } if name == "enumerate"));
     }
 
     #[test]

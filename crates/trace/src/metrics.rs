@@ -1,61 +1,16 @@
-//! Named monotonic counters and per-phase wall-clock timers, aggregated
-//! into a [`MetricsSummary`] that optimization results expose.
+//! Named monotonic counters, per-phase wall-clock totals, and histograms,
+//! aggregated into a [`MetricsSummary`] that benchmark reports export.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use crate::hist::Histogram;
 use crate::json::JsonObj;
+use crate::telemetry::PhaseKind;
 
-/// The optimizer/executor lifecycle phases that get first-class timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Phase {
-    /// SQL-subset text → `Query`.
-    Parse,
-    /// DSL rule text → executable rule structures.
-    Compile,
-    /// Bottom-up STAR-driven plan enumeration.
-    Enumerate,
-    /// Glue invocations (property enforcement).
-    Glue,
-    /// Plan execution.
-    Execute,
-}
-
-impl Phase {
-    pub const ALL: [Phase; 5] = [
-        Phase::Parse,
-        Phase::Compile,
-        Phase::Enumerate,
-        Phase::Glue,
-        Phase::Execute,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Parse => "parse",
-            Phase::Compile => "compile",
-            Phase::Enumerate => "enumerate",
-            Phase::Glue => "glue",
-            Phase::Execute => "execute",
-        }
-    }
-}
-
-/// An in-flight phase measurement; hand it back to
-/// [`MetricsRegistry::finish`] to record it.
-#[derive(Debug)]
-#[must_use = "finish() this timer to record the phase"]
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-}
-
-/// Mutable collection point for counters, phase timers, and histograms.
+/// Mutable collection point for named counters and histograms.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    phase_nanos: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
 }
 
@@ -69,43 +24,11 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Record one observation into a named log-bucketed histogram.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
-    }
-
     /// Fold an externally built histogram into a named one.
     pub fn merge_hist(&mut self, name: &'static str, hist: &Histogram) {
         if !hist.is_empty() {
             self.hists.entry(name).or_default().merge(hist);
         }
-    }
-
-    /// Start timing a phase.
-    pub fn start(&self, phase: Phase) -> PhaseTimer {
-        PhaseTimer {
-            phase,
-            start: Instant::now(),
-        }
-    }
-
-    /// Stop a phase timer and accumulate its elapsed time. Phases may run
-    /// multiple times (e.g. `Glue`); durations add up.
-    pub fn finish(&mut self, timer: PhaseTimer) {
-        self.add_phase_nanos(timer.phase, timer.start.elapsed().as_nanos() as u64);
-    }
-
-    /// Accumulate an externally measured duration for a phase.
-    pub fn add_phase_nanos(&mut self, phase: Phase, nanos: u64) {
-        *self.phase_nanos.entry(phase.name()).or_insert(0) += nanos;
-    }
-
-    /// Time a closure under a phase.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let t = self.start(phase);
-        let r = f();
-        self.finish(t);
-        r
     }
 
     /// Freeze into an immutable summary.
@@ -116,11 +39,7 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            phase_nanos: self
-                .phase_nanos
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
+            phase_nanos: [None; PhaseKind::COUNT],
             hists: self
                 .hists
                 .iter()
@@ -135,17 +54,14 @@ impl MetricsRegistry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSummary {
     counters: Vec<(String, u64)>,
-    phase_nanos: Vec<(String, u64)>,
+    /// Nanos per [`PhaseKind`]; `None` for phases no run measured.
+    phase_nanos: [Option<u64>; PhaseKind::COUNT],
     hists: Vec<(String, Histogram)>,
 }
 
 impl MetricsSummary {
     pub fn counters(&self) -> &[(String, u64)] {
         &self.counters
-    }
-
-    pub fn phase_nanos(&self) -> &[(String, u64)] {
-        &self.phase_nanos
     }
 
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -155,15 +71,21 @@ impl MetricsSummary {
             .map(|(_, v)| *v)
     }
 
-    pub fn phase(&self, phase: Phase) -> Option<u64> {
-        self.phase_nanos
-            .iter()
-            .find(|(k, _)| k == phase.name())
-            .map(|(_, v)| *v)
+    pub fn phase(&self, phase: PhaseKind) -> Option<u64> {
+        self.phase_nanos[phase as usize]
     }
 
-    pub fn hists(&self) -> &[(String, Histogram)] {
-        &self.hists
+    /// Accumulate measured nanos for a phase. Phases may run many times
+    /// (e.g. once per optimization); durations add up.
+    pub fn add_phase(&mut self, phase: PhaseKind, nanos: u64) {
+        *self.phase_nanos[phase as usize].get_or_insert(0) += nanos;
+    }
+
+    /// The measured phases, in [`PhaseKind::ALL`] order.
+    fn phases(&self) -> impl Iterator<Item = (PhaseKind, u64)> + '_ {
+        PhaseKind::ALL
+            .into_iter()
+            .filter_map(|p| self.phase(p).map(|n| (p, n)))
     }
 
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
@@ -178,11 +100,8 @@ impl MetricsSummary {
                 None => self.counters.push((k.clone(), *v)),
             }
         }
-        for (k, v) in &other.phase_nanos {
-            match self.phase_nanos.iter_mut().find(|(ek, _)| ek == k) {
-                Some((_, ev)) => *ev += v,
-                None => self.phase_nanos.push((k.clone(), *v)),
-            }
+        for (p, nanos) in other.phases() {
+            self.add_phase(p, nanos);
         }
         for (k, v) in &other.hists {
             match self.hists.iter_mut().find(|(ek, _)| ek == k) {
@@ -200,8 +119,8 @@ impl MetricsSummary {
             counters = counters.u64(k, *v);
         }
         let mut phases = JsonObj::new();
-        for (k, v) in &self.phase_nanos {
-            phases = phases.u64(k, *v);
+        for (p, v) in self.phases() {
+            phases = phases.u64(p.name(), v);
         }
         let mut out = JsonObj::new()
             .raw("counters", &counters.finish())
@@ -220,8 +139,8 @@ impl MetricsSummary {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("phases:\n");
-        for (k, v) in &self.phase_nanos {
-            out.push_str(&format!("  {:<12} {:>12.3} ms\n", k, *v as f64 / 1e6));
+        for (p, v) in self.phases() {
+            out.push_str(&format!("  {:<12} {:>12.3} ms\n", p.name(), v as f64 / 1e6));
         }
         out.push_str("counters:\n");
         for (k, v) in &self.counters {
@@ -255,29 +174,23 @@ mod tests {
 
     #[test]
     fn phases_accumulate_across_runs() {
-        let mut m = MetricsRegistry::new();
-        m.add_phase_nanos(Phase::Glue, 10);
-        m.add_phase_nanos(Phase::Glue, 5);
-        assert_eq!(m.summary().phase(Phase::Glue), Some(15));
-    }
-
-    #[test]
-    fn timing_a_closure_records_nonzero() {
-        let mut m = MetricsRegistry::new();
-        let out = m.time(Phase::Enumerate, || {
-            std::hint::black_box((0..1000).sum::<u64>())
-        });
-        assert_eq!(out, 499_500);
-        assert!(m.summary().phase(Phase::Enumerate).unwrap() > 0);
+        let mut s = MetricsSummary::default();
+        s.add_phase(PhaseKind::Glue, 10);
+        s.add_phase(PhaseKind::Glue, 5);
+        assert_eq!(s.phase(PhaseKind::Glue), Some(15));
+        assert_eq!(s.phase(PhaseKind::Enumerate), None);
     }
 
     #[test]
     fn summary_json_shape() {
         let mut m = MetricsRegistry::new();
         m.count("x", 1);
-        m.add_phase_nanos(Phase::Parse, 42);
-        let j = m.summary().to_json();
-        assert_eq!(j, r#"{"counters":{"x":1},"phase_nanos":{"parse":42}}"#);
+        let mut s = m.summary();
+        s.add_phase(PhaseKind::Prepare, 42);
+        assert_eq!(
+            s.to_json(),
+            r#"{"counters":{"x":1},"phase_nanos":{"prepare":42}}"#
+        );
     }
 
     #[test]
@@ -285,10 +198,11 @@ mod tests {
         let mut a = MetricsSummary::default();
         let mut reg = MetricsRegistry::new();
         reg.count("x", 1);
-        reg.add_phase_nanos(Phase::Execute, 5);
-        a.absorb(&reg.summary());
-        a.absorb(&reg.summary());
+        let mut s = reg.summary();
+        s.add_phase(PhaseKind::Execute, 5);
+        a.absorb(&s);
+        a.absorb(&s);
         assert_eq!(a.counter("x"), Some(2));
-        assert_eq!(a.phase(Phase::Execute), Some(10));
+        assert_eq!(a.phase(PhaseKind::Execute), Some(10));
     }
 }

@@ -1,13 +1,17 @@
-//! The lock-free serve-path counter plane: a fixed catalog of metrics,
-//! each striped across cache-line-padded per-thread slots.
+//! The lock-free serve-path counter plane: a fixed catalog of metrics
+//! plus per-phase time attribution, each striped across
+//! cache-line-padded per-thread slots.
 //!
-//! Writers touch exactly one relaxed atomic (their stripe's slot for the
-//! metric) — no locks, no CAS loops, no false sharing between stripes.
+//! Writers touch only their own stripe with relaxed atomics — no locks,
+//! no CAS loops, no false sharing between stripes: one `fetch_add` per
+//! counter increment, a nanos-plus-count pair per phase occurrence.
 //! Readers fold all stripes on demand; a fold concurrent with writers sees
 //! each slot atomically (totals may lag in-flight increments by design —
 //! monotonic counters make that harmless).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::telemetry::phases::{PhaseKind, PhaseReading};
 
 /// The fixed serve-path metric catalog. Names are stable: they match the
 /// `serve_*` counters PR 5's service emitted (the obs `profile` section and
@@ -188,12 +192,24 @@ impl Metric {
     }
 }
 
-/// One cache-line-padded stripe of counter slots. 128-byte alignment keeps
+/// Slots per stripe: one per [`Metric`], then a nanos slot and a count
+/// slot per [`PhaseKind`].
+const SLOTS: usize = Metric::COUNT + 2 * PhaseKind::COUNT;
+
+fn phase_nanos_slot(phase: PhaseKind) -> usize {
+    Metric::COUNT + phase as usize
+}
+
+fn phase_count_slot(phase: PhaseKind) -> usize {
+    Metric::COUNT + PhaseKind::COUNT + phase as usize
+}
+
+/// One cache-line-padded stripe of slots. 128-byte alignment keeps
 /// adjacent stripes off each other's lines on every mainstream core
 /// (including 128-byte-prefetch x86 and Apple silicon).
 #[repr(align(128))]
 struct Stripe {
-    slots: [AtomicU64; Metric::COUNT],
+    slots: [AtomicU64; SLOTS],
 }
 
 impl Stripe {
@@ -230,7 +246,8 @@ pub(crate) fn stripe_count(requested: usize) -> usize {
     auto.next_power_of_two().clamp(1, 64)
 }
 
-/// The striped counter plane: `stripes × Metric::COUNT` relaxed atomics.
+/// The striped counter plane: `stripes ×` ([`Metric::COUNT`] `+ 2 ×`
+/// [`PhaseKind::COUNT`]) relaxed atomics.
 pub struct CounterPlane {
     stripes: Box<[Stripe]>,
     mask: usize,
@@ -255,19 +272,45 @@ impl CounterPlane {
         }
     }
 
+    #[inline]
+    fn slots(&self) -> &[AtomicU64; SLOTS] {
+        &self.stripes[thread_stripe() & self.mask].slots
+    }
+
+    /// Fold one slot across stripes.
+    fn sum(&self, slot: usize) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.slots[slot].load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Bump a metric: one relaxed `fetch_add` on this thread's stripe.
     #[inline]
     pub fn add(&self, m: Metric, delta: u64) {
-        self.stripes[thread_stripe() & self.mask].slots[m as usize]
-            .fetch_add(delta, Ordering::Relaxed);
+        self.slots()[m as usize].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Attribute `nanos` to one phase occurrence: two relaxed `fetch_add`s
+    /// on this thread's stripe.
+    #[inline]
+    pub fn add_phase(&self, phase: PhaseKind, nanos: u64) {
+        let slots = self.slots();
+        slots[phase_nanos_slot(phase)].fetch_add(nanos, Ordering::Relaxed);
+        slots[phase_count_slot(phase)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold one metric across stripes.
     pub fn get(&self, m: Metric) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.slots[m as usize].load(Ordering::Relaxed))
-            .sum()
+        self.sum(m as usize)
+    }
+
+    /// Fold one phase across stripes: `(nanos, count)`.
+    pub fn phase(&self, phase: PhaseKind) -> (u64, u64) {
+        (
+            self.sum(phase_nanos_slot(phase)),
+            self.sum(phase_count_slot(phase)),
+        )
     }
 
     /// Fold every metric across stripes, in `Metric::ALL` order.
@@ -279,6 +322,17 @@ impl CounterPlane {
             }
         }
         out
+    }
+
+    /// Fold every phase, in [`PhaseKind::ALL`] order.
+    pub fn fold_phases(&self) -> Vec<PhaseReading> {
+        PhaseKind::ALL
+            .iter()
+            .map(|p| {
+                let (nanos, count) = self.phase(*p);
+                (p.name().to_string(), nanos, count)
+            })
+            .collect()
     }
 }
 

@@ -4,9 +4,10 @@
 //! Four cooperating pieces, each in its own module:
 //!
 //! - [`counters`]: the striped lock-free counter plane — a fixed catalog
-//!   of serve/optimizer/executor metrics, one relaxed `fetch_add` per
-//!   increment, fold-on-read. **Always on**: this tier replaces the plain
-//!   atomic serve counters and costs the same class of work.
+//!   of serve/optimizer/executor metrics plus per-[`PhaseKind`] time
+//!   attribution, one relaxed `fetch_add` per increment, fold-on-read.
+//!   **Always on**: this tier replaces the plain atomic serve counters and
+//!   costs the same class of work.
 //! - [`atomic_hist`]: wait-free log₂ latency histograms (optimize,
 //!   cache-hit, execute, end-to-end) with mergeable snapshots and
 //!   p50/p90/p99/p999 at < 2× relative error.
@@ -41,7 +42,7 @@ pub mod topk;
 pub use atomic_hist::AtomicHistogram;
 pub use counters::{CounterPlane, Metric};
 pub use heal::HealRecord;
-pub use phases::{PhaseKind, PhasePlane, PhaseReading};
+pub use phases::{PhaseKind, PhaseReading};
 pub use qerror::{qlog_micro, FeedbackPlane, QErrorSketch, SuspectConfig, SuspectVerdict};
 pub use ring::SnapshotRing;
 pub use sample::TraceSampler;
@@ -175,7 +176,6 @@ pub struct Telemetry {
     topk_k: usize,
     sampler: TraceSampler,
     feedback: Option<FeedbackPlane>,
-    phases: PhasePlane,
     spans: Option<SpanPlane>,
 }
 
@@ -219,7 +219,6 @@ impl Telemetry {
                     config.suspect,
                 )
             }),
-            phases: PhasePlane::new(config.stripes),
             spans: (config.spans != SpanMode::Off).then(|| SpanPlane {
                 mode: config.spans,
                 span_cap: config.span_cap.max(1),
@@ -347,12 +346,12 @@ impl Telemetry {
     /// two relaxed atomic ops.
     #[inline]
     pub fn record_phase(&self, phase: PhaseKind, nanos: u64) {
-        self.phases.add(phase, nanos);
+        self.counters.add_phase(phase, nanos);
     }
 
     /// Fold one phase across stripes: `(nanos, count)`.
     pub fn phase(&self, phase: PhaseKind) -> (u64, u64) {
-        self.phases.get(phase)
+        self.counters.phase(phase)
     }
 
     /// The configured span tracing mode.
@@ -499,7 +498,7 @@ impl Telemetry {
                 .as_ref()
                 .map(FeedbackPlane::snapshot)
                 .unwrap_or_default(),
-            phases: self.phases.fold(),
+            phases: self.counters.fold_phases(),
             span_resident,
             span_capacity,
             span_evicted,

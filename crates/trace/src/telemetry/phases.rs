@@ -1,19 +1,16 @@
-//! Cold-path phase attribution: where request time goes, by stage, as
-//! always-on striped counters (nanos + occurrence count per phase).
+//! The phase vocabulary: the stages of a request and of an optimization
+//! that time is attributed to.
 //!
-//! The span layer answers "where did *this* request's time go"; this
-//! plane answers the aggregate form — what fraction of all serve time is
-//! cache lookup vs. STAR enumeration vs. execution — cheaply enough to
-//! stay on in production. Writers pay one relaxed `fetch_add` pair per
-//! phase per request; readers fold on demand into snapshots (JSON,
-//! Prometheus `starqo_phase_nanos`/`starqo_phase_count` counters).
+//! The span layer answers "where did *this* request's time go"; the
+//! counter plane's phase slots ([`super::CounterPlane::add_phase`])
+//! answer the aggregate form — what fraction of all serve time is cache
+//! lookup vs. STAR enumeration vs. execution — cheaply enough to stay on
+//! in production (snapshot JSON `phases`, Prometheus
+//! `starqo_phase_nanos`/`starqo_phase_count`). The optimizer reports its
+//! own phase clocks under the same kinds (`Optimized::metrics`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::telemetry::counters::{stripe_count, thread_stripe};
-
-/// The request stages the plane attributes time to. `Glue` nanos are a
-/// subset of `Enumerate` (glue rules fire inside STAR expansion); the
+/// The stages time is attributed to, on the serve path and inside one
+/// optimization. `Glue` nanos are a subset of `Enumerate` (glue rules fire inside STAR expansion); the
 /// other phases are disjoint slices of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -53,8 +50,7 @@ impl PhaseKind {
     ];
 
     /// Stable exported name (snapshot JSON keys, Prometheus `phase`
-    /// label). Matches the optimizer's `MetricsRegistry` phase names
-    /// where both exist.
+    /// label, benchmark `phase_nanos` keys).
     pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Prepare => "prepare",
@@ -67,85 +63,10 @@ impl PhaseKind {
             PhaseKind::Reopt => "reopt",
         }
     }
-
-    /// Parse an optimizer `MetricsRegistry` phase name into a kind.
-    pub fn from_name(name: &str) -> Option<PhaseKind> {
-        PhaseKind::ALL.iter().copied().find(|p| p.name() == name)
-    }
 }
 
 /// One folded phase reading: `(name, nanos, count)`.
 pub type PhaseReading = (String, u64, u64);
-
-#[repr(align(128))]
-struct PhaseStripe {
-    nanos: [AtomicU64; PhaseKind::COUNT],
-    counts: [AtomicU64; PhaseKind::COUNT],
-}
-
-impl PhaseStripe {
-    fn new() -> PhaseStripe {
-        PhaseStripe {
-            nanos: std::array::from_fn(|_| AtomicU64::new(0)),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The striped phase-attribution plane.
-pub struct PhasePlane {
-    stripes: Box<[PhaseStripe]>,
-    mask: usize,
-}
-
-impl std::fmt::Debug for PhasePlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhasePlane")
-            .field("stripes", &self.stripes.len())
-            .finish()
-    }
-}
-
-impl PhasePlane {
-    /// A plane with `stripes` stripes (0 = one per available core).
-    pub fn new(stripes: usize) -> PhasePlane {
-        let n = stripe_count(stripes);
-        PhasePlane {
-            stripes: (0..n).map(|_| PhaseStripe::new()).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Attribute `nanos` to one phase occurrence.
-    #[inline]
-    pub fn add(&self, phase: PhaseKind, nanos: u64) {
-        let stripe = &self.stripes[thread_stripe() & self.mask];
-        stripe.nanos[phase as usize].fetch_add(nanos, Ordering::Relaxed);
-        stripe.counts[phase as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one phase across stripes: `(nanos, count)`.
-    pub fn get(&self, phase: PhaseKind) -> (u64, u64) {
-        let mut nanos = 0u64;
-        let mut count = 0u64;
-        for s in self.stripes.iter() {
-            nanos += s.nanos[phase as usize].load(Ordering::Relaxed);
-            count += s.counts[phase as usize].load(Ordering::Relaxed);
-        }
-        (nanos, count)
-    }
-
-    /// Fold every phase, in [`PhaseKind::ALL`] order.
-    pub fn fold(&self) -> Vec<PhaseReading> {
-        PhaseKind::ALL
-            .iter()
-            .map(|p| {
-                let (nanos, count) = self.get(*p);
-                (p.name().to_string(), nanos, count)
-            })
-            .collect()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -161,27 +82,25 @@ mod tests {
         for (i, p) in PhaseKind::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i, "ALL order must match discriminants");
         }
-        assert_eq!(PhaseKind::from_name("glue"), Some(PhaseKind::Glue));
-        assert_eq!(PhaseKind::from_name("parse"), None);
     }
 
     #[test]
     fn adds_fold_across_threads() {
-        let plane = std::sync::Arc::new(PhasePlane::new(4));
+        let plane = std::sync::Arc::new(crate::telemetry::CounterPlane::new(4));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let plane = plane.clone();
                 scope.spawn(move || {
                     for _ in 0..500 {
-                        plane.add(PhaseKind::Enumerate, 10);
-                        plane.add(PhaseKind::Execute, 3);
+                        plane.add_phase(PhaseKind::Enumerate, 10);
+                        plane.add_phase(PhaseKind::Execute, 3);
                     }
                 });
             }
         });
-        assert_eq!(plane.get(PhaseKind::Enumerate), (40_000, 4_000));
-        assert_eq!(plane.get(PhaseKind::Execute), (12_000, 4_000));
-        let fold = plane.fold();
+        assert_eq!(plane.phase(PhaseKind::Enumerate), (40_000, 4_000));
+        assert_eq!(plane.phase(PhaseKind::Execute), (12_000, 4_000));
+        let fold = plane.fold_phases();
         assert_eq!(fold[PhaseKind::Enumerate as usize].1, 40_000);
         assert_eq!(fold[PhaseKind::Prepare as usize], ("prepare".into(), 0, 0));
     }

@@ -34,10 +34,9 @@ pub struct TelemetrySnapshot {
     /// executed).
     pub qerror: Vec<QErrorSketch>,
     /// Cold-path phase attribution: `(phase, nanos, count)` in
-    /// [`super::PhaseKind::ALL`] order (empty in pre-v3 documents).
+    /// [`super::PhaseKind::ALL`] order.
     pub phases: Vec<PhaseReading>,
-    /// Span trees currently resident in the span store (0 = spans off or
-    /// pre-v3 document).
+    /// Span trees currently resident in the span store (0 = spans off).
     pub span_resident: u64,
     /// Span-store retention capacity (0 = spans off).
     pub span_capacity: u64,
@@ -46,7 +45,7 @@ pub struct TelemetrySnapshot {
     /// The serving layer's per-fingerprint heal records (suspect-triggered
     /// re-optimization state), fingerprint ascending. Empty when healing
     /// is off or the snapshot came from a bare telemetry plane (the
-    /// service stitches these in; absent in pre-v4 documents).
+    /// service stitches these in).
     pub heal: Vec<HealRecord>,
 }
 
@@ -172,9 +171,16 @@ impl TelemetrySnapshot {
             .finish()
     }
 
-    /// Parse the [`Self::to_json`] form back.
+    /// Parse the [`Self::to_json`] form back. Only the current format
+    /// (version 4, every key present) is accepted: snapshots are
+    /// regenerated per run, never stored across versions.
     pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
         let v = parse_json(text).map_err(|e| format!("snapshot JSON: {e}"))?;
+        match v.get("version").and_then(JsonValue::as_u64) {
+            Some(4) => {}
+            Some(n) => return Err(format!("unsupported snapshot version {n} (expected 4)")),
+            None => return Err("snapshot missing version".to_string()),
+        }
         let uptime_nanos = v
             .get("uptime_nanos")
             .and_then(JsonValue::as_u64)
@@ -218,8 +224,6 @@ impl TelemetrySnapshot {
                 .ok_or("malformed topk entry")?,
             _ => return Err("snapshot missing topk".to_string()),
         };
-        // Version-1 documents predate the feedback plane: absent qerror
-        // parses as empty rather than failing.
         let qerror = match v.get("qerror") {
             Some(JsonValue::Arr(items)) => items
                 .iter()
@@ -228,9 +232,7 @@ impl TelemetrySnapshot {
                     Some(QErrorSketch {
                         fp: f("fp")?,
                         runs: f("runs")?,
-                        // Pre-v4 documents predate the Q window: the whole
-                        // lifetime was the window.
-                        q_runs: f("q_runs").or_else(|| f("runs"))?,
+                        q_runs: f("q_runs")?,
                         qlog_sum_micro: f("qlog_sum_micro")?,
                         qlog_max_micro: f("qlog_max_micro")?,
                         est_rows: f("est_rows")?,
@@ -243,40 +245,32 @@ impl TelemetrySnapshot {
                 })
                 .collect::<Option<Vec<_>>>()
                 .ok_or("malformed qerror entry")?,
-            None => Vec::new(),
-            _ => return Err("snapshot qerror is not an array".to_string()),
+            _ => return Err("snapshot missing qerror".to_string()),
         };
-        // Version-2 documents predate the phase plane and the span store:
-        // both parse as empty/zero rather than failing.
-        let phases = match v.get("phases") {
-            Some(obj) => obj
-                .fields()
-                .ok_or("snapshot phases is not an object")?
-                .iter()
-                .map(|(k, p)| {
-                    let f = |key: &str| p.get(key).and_then(JsonValue::as_u64);
-                    Some((k.clone(), f("nanos")?, f("count")?))
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed phase entry")?,
-            None => Vec::new(),
-        };
+        let phases = v
+            .get("phases")
+            .and_then(JsonValue::fields)
+            .ok_or("snapshot missing phases")?
+            .iter()
+            .map(|(k, p)| {
+                let f = |key: &str| p.get(key).and_then(JsonValue::as_u64);
+                Some((k.clone(), f("nanos")?, f("count")?))
+            })
+            .collect::<Option<Vec<_>>>()
+            .ok_or("malformed phase entry")?;
         let span = |k: &str| {
             v.get("span_store")
                 .and_then(|s| s.get(k))
                 .and_then(JsonValue::as_u64)
-                .unwrap_or(0)
+                .ok_or_else(|| format!("snapshot missing span_store.{k}"))
         };
-        // Version-3 documents predate the heal plane: absent parses as
-        // empty rather than failing.
         let heal = match v.get("heal") {
             Some(JsonValue::Arr(items)) => items
                 .iter()
                 .map(HealRecord::from_json_value)
                 .collect::<Option<Vec<_>>>()
                 .ok_or("malformed heal entry")?,
-            None => Vec::new(),
-            _ => return Err("snapshot heal is not an array".to_string()),
+            _ => return Err("snapshot missing heal".to_string()),
         };
         Ok(TelemetrySnapshot {
             uptime_nanos,
@@ -285,9 +279,9 @@ impl TelemetrySnapshot {
             topk,
             qerror,
             phases,
-            span_resident: span("resident"),
-            span_capacity: span("capacity"),
-            span_evicted: span("evicted"),
+            span_resident: span("resident")?,
+            span_capacity: span("capacity")?,
+            span_evicted: span("evicted")?,
             heal,
         })
     }
@@ -502,7 +496,7 @@ impl TelemetrySnapshot {
             })
             .collect();
         // Phase nanos/counts are monotonic: subtract pairwise (a phase
-        // absent earlier — e.g. a v1/v2 baseline — deltas from zero).
+        // absent earlier deltas from zero).
         let phases = self
             .phases
             .iter()
@@ -732,35 +726,28 @@ mod tests {
     }
 
     #[test]
-    fn version1_documents_parse_with_empty_qerror() {
-        // A pre-feedback-plane export: no qerror key at all.
-        let text = r#"{"version":1,"uptime_nanos":5,"counters":{"serve_requests":2},"latency":{},"topk":[]}"#;
-        let parsed = TelemetrySnapshot::from_json(text).expect("v1 parses");
-        assert!(parsed.qerror.is_empty());
-        assert_eq!(parsed.counter("serve_requests"), Some(2));
-        // Pre-v3 fields default to empty/zero too.
-        assert!(parsed.phases.is_empty());
-        assert_eq!(parsed.span_capacity, 0);
-    }
-
-    #[test]
-    fn version2_documents_parse_with_empty_phases() {
-        // A v2 export (feedback plane, no phase/span tiers): strip the
-        // v3 keys from a current document and it must still parse.
+    fn non_v4_documents_are_rejected() {
         let full = sample_snapshot().to_json();
-        let phases_at = full.find(",\"phases\"").expect("phases key");
-        let v2 = format!("{}}}", &full[..phases_at]);
-        let parsed = TelemetrySnapshot::from_json(&v2).expect("v2 parses");
-        assert!(parsed.phases.is_empty());
+        for version in ["1", "2", "3"] {
+            let old = full.replacen("\"version\":4", &format!("\"version\":{version}"), 1);
+            let err = TelemetrySnapshot::from_json(&old).expect_err("old version rejected");
+            assert!(err.contains("version"), "{err}");
+        }
+        // A current-version document missing any key is rejected too.
+        for key in ["qerror", "phases", "span_store", "heal"] {
+            let at = full.find(&format!(",\"{key}\"")).expect("key present");
+            let truncated = format!("{}}}", &full[..at]);
+            assert!(
+                TelemetrySnapshot::from_json(&truncated).is_err(),
+                "accepted a document without {key}"
+            );
+        }
+        let unversioned = full.replacen("\"version\":4,", "", 1);
+        assert!(TelemetrySnapshot::from_json(&unversioned).is_err());
         assert_eq!(
-            (
-                parsed.span_resident,
-                parsed.span_capacity,
-                parsed.span_evicted
-            ),
-            (0, 0, 0)
+            TelemetrySnapshot::from_json(&full).expect("v4 parses"),
+            sample_snapshot()
         );
-        assert_eq!(parsed.qerror, sample_snapshot().qerror);
     }
 
     #[test]
@@ -775,20 +762,6 @@ mod tests {
         assert_eq!(d.phases[1], ("enumerate".into(), 900_000, 5));
         assert_eq!(d.span_evicted, 1);
         assert_eq!((d.span_resident, d.span_capacity), (2, 64));
-    }
-
-    #[test]
-    fn version3_documents_parse_with_empty_heal() {
-        // A v3 export (no heal plane): strip the heal key from a current
-        // document and it must still parse, with q_runs defaulting to
-        // runs in pre-window sketches.
-        let full = sample_snapshot().to_json();
-        let heal_at = full.find(",\"heal\"").expect("heal key");
-        let v3 = format!("{}}}", &full[..heal_at]);
-        let v3 = v3.replace(",\"q_runs\":3", "");
-        let parsed = TelemetrySnapshot::from_json(&v3).expect("v3 parses");
-        assert!(parsed.heal.is_empty());
-        assert_eq!(parsed.qerror[0].q_runs, parsed.qerror[0].runs);
     }
 
     #[test]
@@ -829,9 +802,9 @@ mod tests {
     #[test]
     fn from_json_rejects_malformed_documents() {
         assert!(TelemetrySnapshot::from_json("not json").is_err());
-        assert!(TelemetrySnapshot::from_json(r#"{"version":1}"#).is_err());
+        assert!(TelemetrySnapshot::from_json(r#"{"version":4}"#).is_err());
         assert!(TelemetrySnapshot::from_json(
-            r#"{"version":1,"uptime_nanos":1,"counters":{"x":1},"latency":{},"topk":[{"fp":1}]}"#
+            r#"{"version":4,"uptime_nanos":1,"counters":{"x":1},"latency":{},"topk":[{"fp":1}]}"#
         )
         .is_err());
     }

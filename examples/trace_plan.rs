@@ -14,6 +14,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use starqo::prelude::*;
 use starqo::trace::TraceSink;
@@ -82,16 +83,14 @@ fn main() {
     }
     let db = loader.build().expect("database");
 
-    let mut metrics = MetricsRegistry::new();
-    let query = metrics
-        .time(Phase::Parse, || {
-            parse_query(
-                &cat,
-                "SELECT C.NAME, I.PRICE FROM CUSTOMERS C, ORDERS O, ITEMS I \
-                 WHERE C.CID = O.CID AND O.ITEM = I.ITEM AND C.TIER = 1",
-            )
-        })
-        .expect("query");
+    let started = Instant::now();
+    let query = parse_query(
+        &cat,
+        "SELECT C.NAME, I.PRICE FROM CUSTOMERS C, ORDERS O, ITEMS I \
+         WHERE C.CID = O.CID AND O.ITEM = I.ITEM AND C.TIER = 1",
+    )
+    .expect("query");
+    let prepare_nanos = started.elapsed().as_nanos() as u64;
 
     // Attach the tracer: everything the engine, plan table, Glue, and
     // executor see goes to target/trace_plan.jsonl AND an in-memory buffer.
@@ -142,9 +141,9 @@ fn main() {
     let mut executor = Executor::new(&db, &query);
     executor.set_tracer(tracer.clone());
     executor.enable_node_stats();
-    let result = metrics
-        .time(Phase::Execute, || executor.run(&optimized.best))
-        .expect("execute");
+    let started = Instant::now();
+    let result = executor.run(&optimized.best).expect("execute");
+    let execute_nanos = started.elapsed().as_nanos() as u64;
     println!(
         "\n== EXPLAIN ANALYZE ({} result rows) ==",
         result.rows.len()
@@ -156,8 +155,9 @@ fn main() {
     );
 
     // ── 3. the phase-timing and counter summary ────────────────────────
-    let mut summary = optimized.metrics.clone();
-    summary.absorb(&metrics.summary());
+    let mut summary = optimized.summary();
+    summary.add_phase(PhaseKind::Prepare, prepare_nanos);
+    summary.add_phase(PhaseKind::Execute, execute_nanos);
     println!("\n== phases & counters ==");
     print!("{}", summary.render());
 

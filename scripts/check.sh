@@ -69,7 +69,6 @@ grep -q -- "-- latency --" target/bench/telemetry_live.txt
 grep -q -- "-- hot queries --" target/bench/telemetry_live.txt
 ./target/debug/starqo-obs live target/bench/telemetry_snapshot.json --prom \
     | grep -q "starqo_serve_requests_total"
-./target/debug/starqo-obs live --smoke | grep -q "live --smoke ok"
 echo "telemetry smoke passed."
 
 echo "== drift smoke (feedback plane; injected shift -> suspects -> doctor) =="
@@ -87,8 +86,6 @@ grep -q "SUSPECT" target/bench/drift_live.txt
 ./target/debug/starqo-obs doctor target/bench/drift_snapshot.json \
     > target/bench/drift_doctor.txt
 grep -q "plan_drift" target/bench/drift_doctor.txt
-./target/debug/starqo-obs watch --smoke | grep -q "watch --smoke ok"
-./target/debug/starqo-obs doctor --smoke | grep -q "doctor --smoke ok"
 echo "drift smoke passed."
 
 echo "== spans smoke (tail retention -> waterfall -> Chrome round-trip) =="
@@ -106,11 +103,6 @@ grep -q "request" target/bench/spans_table.txt
 ./target/debug/starqo-obs timeline target/bench/spans.jsonl \
     > target/bench/spans_timeline.txt
 grep -q "execute" target/bench/spans_timeline.txt
-./target/debug/starqo-obs spans --smoke | grep -q "spans --smoke ok"
-./target/debug/starqo-obs timeline --smoke | grep -q "timeline --smoke ok"
-./target/debug/starqo-obs doctor --smoke --json target/bench/doctor_smoke.json \
-    > /dev/null
-grep -q '"healthy"' target/bench/doctor_smoke.json
 echo "spans smoke passed."
 
 echo "== heal smoke (suspect -> re-opt -> swap; one chaos sweep) =="

@@ -66,6 +66,6 @@ pub mod prelude {
     pub use starqo_query::{parse_query, Query, QueryBuilder};
     pub use starqo_storage::{Database, DatabaseBuilder};
     pub use starqo_trace::{
-        JsonLinesSink, MemorySink, MetricsRegistry, NullSink, Phase, TraceEvent, Tracer,
+        JsonLinesSink, MemorySink, MetricsRegistry, NullSink, PhaseKind, TraceEvent, Tracer,
     };
 }

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use starqo_core::{OptConfig, Optimized, Optimizer};
 use starqo_serve::{Service, ServiceConfig};
+use starqo_trace::PhaseKind;
 use starqo_workload::{query_shape, query_shape_param, synth_catalog, QueryShape, SynthSpec};
 
 /// The `compile` phase an optimization reports: the accumulated rule-compile
@@ -16,12 +17,7 @@ use starqo_workload::{query_shape, query_shape_param, synth_catalog, QueryShape,
 /// nanos only if they share one compiled repertoire; a recompile is timed
 /// afresh.
 fn compile_nanos(o: &Optimized) -> u64 {
-    o.metrics
-        .phase_nanos()
-        .iter()
-        .find(|(name, _)| name == "compile")
-        .map(|(_, nanos)| *nanos)
-        .expect("compile phase")
+    o.metrics.phase(PhaseKind::Compile).expect("compile phase")
 }
 
 fn assert_same_plan(fresh: &Optimized, rebound: &Optimized, what: &str) {

@@ -95,40 +95,44 @@ fn concurrent_span_trees_bit_match_the_serial_oracle() {
     }
 }
 
-/// A watcher that seeded its ring before an upgrade keeps producing sane
-/// deltas afterwards: a v1 document (no phases, no span store) diffed
-/// against a live v3 snapshot deltas the new counters from zero and
-/// carries the span gauges through as absolutes.
+/// A watcher whose ring was seeded before the service recorded any phase
+/// or span (an empty phase list, zero span-store gauges) keeps producing
+/// sane deltas once they appear: the new phases delta from zero and the
+/// span gauges carry through as absolutes.
 #[test]
 fn snapshot_ring_diffs_across_a_version_upgrade() {
-    let v1_text = r#"{"version":1,"uptime_nanos":1000,"counters":{"serve_requests":10,"serve_spans_kept":0},"latency":{},"topk":[]}"#;
-    let v1 = TelemetrySnapshot::from_json(v1_text).expect("v1 parses");
-    assert!(v1.phases.is_empty());
+    let base = TelemetrySnapshot {
+        uptime_nanos: 1_000,
+        counters: vec![
+            ("serve_requests".into(), 10),
+            ("serve_spans_kept".into(), 0),
+        ],
+        ..TelemetrySnapshot::default()
+    };
+    let later = TelemetrySnapshot {
+        uptime_nanos: 3_000,
+        counters: vec![
+            ("serve_requests".into(), 25),
+            ("serve_spans_kept".into(), 4),
+        ],
+        phases: v3_phases(),
+        span_resident: 4,
+        span_capacity: 64,
+        ..TelemetrySnapshot::default()
+    };
+    // The later snapshot must itself round-trip at the current version.
+    assert_eq!(
+        TelemetrySnapshot::from_json(&later.to_json()),
+        Ok(later.clone())
+    );
 
     let mut ring = SnapshotRing::new(4);
-    assert!(ring.push(v1).is_none(), "first push seeds the diff base");
-
-    let mut v3 = TelemetrySnapshot::from_json(v1_text).expect("seed");
-    v3.uptime_nanos = 3_000;
-    v3.counters = vec![
-        ("serve_requests".into(), 25),
-        ("serve_spans_kept".into(), 4),
-    ];
-    v3.phases = vec![
-        ("prepare".into(), 9_000, 25),
-        ("execute".into(), 70_000, 25),
-    ];
-    v3.span_resident = 4;
-    v3.span_capacity = 64;
-    v3.span_evicted = 0;
-    // The upgraded snapshot must itself round-trip at the current version.
-    assert!(v3.to_json().contains("\"version\":4"));
-
-    let delta = ring.push(v3).expect("second push yields a delta");
+    assert!(ring.push(base).is_none(), "first push seeds the diff base");
+    let delta = ring.push(later).expect("second push yields a delta");
     assert_eq!(delta.uptime_nanos, 2_000);
     assert_eq!(delta.counter("serve_requests"), Some(15));
     assert_eq!(delta.counter("serve_spans_kept"), Some(4));
-    // Phases absent from the v1 base delta from zero…
+    // Phases absent from the base delta from zero…
     assert_eq!(delta.phases, v3_phases());
     // …and the span-store gauges pass through as the later absolutes.
     assert_eq!(
